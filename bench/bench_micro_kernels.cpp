@@ -10,7 +10,7 @@
 #include "bitio/bit_writer.h"
 #include "core/pastri.h"
 #include "qc/boys.h"
-#include "qc/eri_engine.h"
+#include "qc/quartet_plan.h"
 
 using namespace pastri;
 
@@ -25,13 +25,25 @@ qc::Shell make_shell(int l, qc::Vec3 c, double e) {
   return s;
 }
 
+/// Four d shells along a line; quartet (0 1|2 3) is the demo block.
+const qc::QuartetPlan& dddd_plan() {
+  static const qc::QuartetPlan plan = [] {
+    qc::BasisSet basis;
+    basis.shells = {make_shell(2, {0, 0, 0}, 1.0),
+                    make_shell(2, {1.5, 0.4, -0.3}, 0.8),
+                    make_shell(2, {3.0, -0.5, 0.7}, 1.2),
+                    make_shell(2, {4.2, 0.8, 0.1}, 0.9)};
+    return qc::QuartetPlan(basis);
+  }();
+  return plan;
+}
+
 const std::vector<double>& demo_block() {
   static const std::vector<double> block = [] {
-    const auto A = make_shell(2, {0, 0, 0}, 1.0);
-    const auto B = make_shell(2, {1.5, 0.4, -0.3}, 0.8);
-    const auto C = make_shell(2, {3.0, -0.5, 0.7}, 1.2);
-    const auto D = make_shell(2, {4.2, 0.8, 0.1}, 0.9);
-    return qc::compute_block(A, B, C, D);
+    std::vector<double> out(6 * 6 * 6 * 6);
+    qc::EriWorkspace ws;
+    dddd_plan().compute(0, 1, 2, 3, ws, out);
+    return out;
   }();
   return block;
 }
@@ -50,13 +62,11 @@ void BM_BoysFunction(benchmark::State& state) {
 BENCHMARK(BM_BoysFunction)->Arg(4)->Arg(8)->Arg(12);
 
 void BM_EriBlockDddd(benchmark::State& state) {
-  const auto A = make_shell(2, {0, 0, 0}, 1.0);
-  const auto B = make_shell(2, {1.5, 0.4, -0.3}, 0.8);
-  const auto C = make_shell(2, {3.0, -0.5, 0.7}, 1.2);
-  const auto D = make_shell(2, {4.2, 0.8, 0.1}, 0.9);
+  const qc::QuartetPlan& plan = dddd_plan();
+  qc::EriWorkspace ws;
   std::vector<double> out(6 * 6 * 6 * 6);
   for (auto _ : state) {
-    qc::compute_eri_block(A, B, C, D, out);
+    plan.compute(0, 1, 2, 3, ws, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(state.iterations() * out.size() * 8);

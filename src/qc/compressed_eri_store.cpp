@@ -1,16 +1,16 @@
 #include "qc/compressed_eri_store.h"
 
+#include <stdexcept>
+
 #include "core/stream.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "qc/md_eri.h"
-#include "qc/one_electron.h"
 
 namespace pastri::qc {
 namespace {
 
-/// LRU cache telemetry (obs/metric_names.h), alongside the store's own
-/// cache_hits()/cache_misses() accessors so a snapshot sees them too.
+/// LRU cache telemetry (obs/metric_names.h), the registry-side view of
+/// cache_stats() hits and misses.
 struct StoreMetrics {
   obs::Counter cache_hits = obs::registry().counter(obs::kQcEriCacheHits);
   obs::Counter cache_misses =
@@ -25,73 +25,56 @@ const StoreMetrics& store_metrics() {
 }  // namespace
 
 CompressedEriStore::CompressedEriStore(const BasisSet& basis,
-                                       const Params& params) {
-  n_ = basis.num_basis_functions();
-  shell_offset_.assign(basis.shells.size() + 1, 0);
-  shell_l_.resize(basis.shells.size());
-  for (std::size_t s = 0; s < basis.shells.size(); ++s) {
-    shell_offset_[s + 1] =
-        shell_offset_[s] + basis.shells[s].num_components();
-    shell_l_[s] = basis.shells[s].l;
-  }
-
+                                       const Params& params)
+    : layout_(basis), block_of_(layout_.num_quartets()) {
   // Pass 1: group quartets by configuration class.  No integrals yet --
-  // this only fixes each class's block spec and quartet order.
-  const std::size_t ns = basis.shells.size();
-  for (std::size_t a = 0; a < ns; ++a) {
-    for (std::size_t b = 0; b < ns; ++b) {
-      for (std::size_t c = 0; c < ns; ++c) {
-        for (std::size_t d = 0; d < ns; ++d) {
-          const std::array<int, 4> cls{shell_l_[a], shell_l_[b],
-                                       shell_l_[c], shell_l_[d]};
-          ClassData& cd = streams_[cls];
-          if (cd.quartets.empty()) {
-            cd.spec.num_sub_blocks =
-                static_cast<std::size_t>(num_cartesians(cls[0])) *
-                num_cartesians(cls[1]);
-            cd.spec.sub_block_size =
-                static_cast<std::size_t>(num_cartesians(cls[2])) *
-                num_cartesians(cls[3]);
-          }
-          cd.quartets.push_back({a, b, c, d});
-        }
-      }
+  // this only fixes each class's block spec and every quartet's ordinal
+  // in its class stream.
+  layout_.for_each_quartet([&](std::size_t a, std::size_t b, std::size_t c,
+                               std::size_t d) {
+    const std::array<int, 4> cls{layout_.momentum(a), layout_.momentum(b),
+                                 layout_.momentum(c), layout_.momentum(d)};
+    ClassData& cd = streams_[cls];
+    if (cd.num_blocks == 0) {
+      cd.spec.num_sub_blocks = layout_.width(a) * layout_.width(b);
+      cd.spec.sub_block_size = layout_.width(c) * layout_.width(d);
     }
-  }
+    block_of_[layout_.quartet_index(a, b, c, d)] = {&cd, cd.num_blocks++};
+  });
 
   // Pass 2: compute -> compress each class on the fly.  Every quartet
-  // block goes from the integral engine straight into the class's
-  // StreamWriter through one reusable buffer, so the write side never
-  // holds a dense per-class tensor (peak memory O(encode batch)).
+  // block goes from the plan straight into the class's StreamWriter
+  // through one reusable buffer, so the write side never holds a dense
+  // per-class tensor (peak memory O(encode batch)).
+  const QuartetPlan plan(basis);
+  EriWorkspace ws;
   std::vector<double> block;
   for (auto& [cls, cd] : streams_) {
     VectorSink sink;
     StreamWriter writer(
         sink, cd.spec, params,
-        StreamWriterOptions{.expected_blocks = cd.quartets.size()});
+        StreamWriterOptions{.expected_blocks = cd.num_blocks});
     block.resize(cd.spec.block_size());
-    for (const auto& [a, b, c, d] : cd.quartets) {
-      compute_eri_block(basis.shells[a], basis.shells[b], basis.shells[c],
-                        basis.shells[d], block);
+    layout_.for_each_quartet([&](std::size_t a, std::size_t b, std::size_t c,
+                                 std::size_t d) {
+      if (block_of_[layout_.quartet_index(a, b, c, d)].cls != &cd) return;
+      plan.compute(a, b, c, d, ws, block);
       writer.put_block(block);
-    }
+    });
     writer.finish();
     uncompressed_bytes_ += writer.stats().input_bytes;
     cd.stream = sink.take();
     cd.reader = std::make_unique<BlockReader>(cd.stream);
-    for (std::size_t q = 0; q < cd.quartets.size(); ++q) {
-      block_of_[cd.quartets[q]] = {&cd, q};
-    }
   }
 }
 
 std::shared_ptr<const std::vector<double>> CompressedEriStore::shell_block(
     std::size_t p, std::size_t q, std::size_t u, std::size_t v) const {
-  const QuartetKey key{p, q, u, v};
-  const auto ref = block_of_.find(key);
-  if (ref == block_of_.end()) {
+  const std::size_t ns = layout_.num_shells();
+  if (p >= ns || q >= ns || u >= ns || v >= ns) {
     throw std::out_of_range("shell_block: shell quartet out of range");
   }
+  const QuartetKey key{p, q, u, v};
   if (auto hit = cache_.lookup(key)) {
     store_metrics().cache_hits.inc();
     return hit;
@@ -101,40 +84,35 @@ std::shared_ptr<const std::vector<double>> CompressedEriStore::shell_block(
   // decode in parallel (BlockReader reads are const and thread-safe);
   // concurrent misses on the *same* quartet both decode but converge on
   // one shared vector through the cache's content dedup.
-  const auto& [cls, ordinal] = ref->second;
-  std::vector<double> decoded = cls->reader->read_block(ordinal);
+  const BlockRef& ref = block_of_[layout_.quartet_index(p, q, u, v)];
+  std::vector<double> decoded = ref.cls->reader->read_block(ref.ordinal);
   return cache_.insert(key, std::move(decoded));
 }
 
 EriTensor CompressedEriStore::materialize() const {
-  EriTensor eri(n_ * n_ * n_ * n_, 0.0);
+  const std::size_t n = layout_.num_functions();
+  EriTensor eri(n * n * n * n, 0.0);
   for (const auto& [cls, cd] : streams_) {
     const std::vector<double> values = decompress(cd.stream);
     const std::size_t bs = cd.spec.block_size();
-    const std::size_t na = static_cast<std::size_t>(num_cartesians(cls[0]));
-    const std::size_t nb = static_cast<std::size_t>(num_cartesians(cls[1]));
-    const std::size_t nc = static_cast<std::size_t>(num_cartesians(cls[2]));
-    const std::size_t nd = static_cast<std::size_t>(num_cartesians(cls[3]));
-    for (std::size_t q = 0; q < cd.quartets.size(); ++q) {
-      const auto [sa, sb, sc, sd] = cd.quartets[q];
-      const double* blk = values.data() + q * bs;
-      std::size_t idx = 0;
-      for (std::size_t i = 0; i < na; ++i) {
-        for (std::size_t j = 0; j < nb; ++j) {
-          for (std::size_t k = 0; k < nc; ++k) {
-            for (std::size_t l = 0; l < nd; ++l, ++idx) {
-              const std::size_t mu = shell_offset_[sa] + i;
-              const std::size_t nu = shell_offset_[sb] + j;
-              const std::size_t la = shell_offset_[sc] + k;
-              const std::size_t si = shell_offset_[sd] + l;
-              eri[((mu * n_ + nu) * n_ + la) * n_ + si] = blk[idx];
-            }
-          }
-        }
-      }
-    }
+    layout_.for_each_quartet([&](std::size_t a, std::size_t b, std::size_t c,
+                                 std::size_t d) {
+      const BlockRef& ref = block_of_[layout_.quartet_index(a, b, c, d)];
+      if (ref.cls != &cd) return;
+      layout_.for_each_element(
+          a, b, c, d, values.data() + ref.ordinal * bs,
+          [&](std::size_t mu, std::size_t nu, std::size_t la, std::size_t si,
+              double val) { eri[((mu * n + nu) * n + la) * n + si] = val; });
+    });
   }
   return eri;
+}
+
+std::span<const std::uint8_t> CompressedEriStore::class_stream(
+    const std::array<int, 4>& cls) const {
+  const auto it = streams_.find(cls);
+  if (it == streams_.end()) return {};
+  return it->second.stream;
 }
 
 std::size_t CompressedEriStore::compressed_bytes() const {

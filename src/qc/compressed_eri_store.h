@@ -18,9 +18,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 
 #include "core/pastri.h"
 #include "core/sharded_cache.h"
+#include "qc/quartet_plan.h"
 #include "qc/scf.h"
 
 namespace pastri::qc {
@@ -68,22 +70,6 @@ class CompressedEriStore {
   /// the number of cached quartets.
   CacheStats cache_stats() const { return cache_.stats(); }
 
-  // -- Deprecated cache accessors (pre-CacheConfig API) ---------------
-  // Thin wrappers kept so existing callers compile; new code should use
-  // set_cache / cache_config / cache_stats.
-
-  /// Deprecated: set_cache({blocks, 1}).  Keeps the single-shard exact
-  /// global LRU semantics the original API promised.
-  void set_cache_capacity(std::size_t blocks) {
-    cache_.configure(CacheConfig{blocks, 1});
-  }
-  std::size_t cache_hits() const { return cache_.stats().hits; }
-  std::size_t cache_misses() const { return cache_.stats().misses; }
-  std::size_t cache_bytes() const { return cache_.stats().bytes; }
-  std::size_t cache_unique_blocks() const {
-    return cache_.stats().unique_blocks;
-  }
-
   std::size_t compressed_bytes() const;
   std::size_t uncompressed_bytes() const;
   double ratio() const {
@@ -93,12 +79,21 @@ class CompressedEriStore {
                : 0.0;
   }
   std::size_t num_classes() const { return streams_.size(); }
-  std::size_t num_shells() const { return shell_l_.size(); }
+  std::size_t num_shells() const { return layout_.num_shells(); }
+
+  /// The shells the store was built for (momentum and center of each).
+  /// Consumers check it against their own basis before reading blocks.
+  const ShellLayout& layout() const { return layout_; }
+
+  /// The compressed stream of quartet class (lA lB | lC lD); empty when
+  /// the basis has no quartet of that class.
+  std::span<const std::uint8_t> class_stream(
+      const std::array<int, 4>& cls) const;
 
  private:
   struct ClassData {
     BlockSpec spec;
-    std::vector<std::array<std::size_t, 4>> quartets;  ///< shell indices
+    std::size_t num_blocks = 0;
     std::vector<std::uint8_t> stream;
     /// Seekable view of `stream` (the map node and the vector's buffer
     /// are both stable, so the span inside stays valid).
@@ -122,11 +117,10 @@ class CompressedEriStore {
     }
   };
 
-  std::size_t n_ = 0;  ///< number of basis functions
-  std::vector<std::size_t> shell_offset_;
-  std::vector<int> shell_l_;
+  ShellLayout layout_;
   std::map<std::array<int, 4>, ClassData> streams_;
-  std::map<QuartetKey, BlockRef> block_of_;
+  /// Stream position of every ordered quartet, by layout_.quartet_index.
+  std::vector<BlockRef> block_of_;
   std::size_t uncompressed_bytes_ = 0;
 
   /// Sharded LRU of decoded quartet blocks with content dedup (see

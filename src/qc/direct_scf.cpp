@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "qc/compressed_eri_store.h"
-#include "qc/md_eri.h"
 #include "qc/one_electron.h"
 #include "qc/sto3g.h"
 
@@ -12,40 +11,22 @@ namespace pastri::qc {
 
 DirectFockBuilder::DirectFockBuilder(const BasisSet& basis,
                                      double screen_threshold)
-    : basis_(basis), threshold_(screen_threshold) {
-  const std::size_t ns = basis.shells.size();
-  offset_.assign(ns + 1, 0);
-  for (std::size_t s = 0; s < ns; ++s) {
-    offset_[s + 1] = offset_[s] + basis.shells[s].num_components();
-  }
-  schwarz_.resize(ns * ns);
-  for (std::size_t a = 0; a < ns; ++a) {
-    for (std::size_t b = 0; b < ns; ++b) {
-      schwarz_[a * ns + b] =
-          schwarz_bound(basis.shells[a], basis.shells[b]);
-    }
-  }
-}
+    : plan_(basis), threshold_(screen_threshold) {}
 
 DirectFockBuilder::DirectFockBuilder(const BasisSet& basis,
                                      const CompressedEriStore& store,
                                      double screen_threshold)
     : DirectFockBuilder(basis, screen_threshold) {
-  if (store.num_shells() != basis.shells.size()) {
+  if (!store.layout().same_shells(plan_.layout())) {
     throw std::invalid_argument(
         "DirectFockBuilder: store does not match basis");
   }
   store_ = &store;
 }
 
-std::size_t DirectFockBuilder::total_quartets() const {
-  const std::size_t ns = basis_.shells.size();
-  return ns * ns * ns * ns;
-}
-
 Matrix DirectFockBuilder::build_g(const Matrix& density) const {
-  const std::size_t n = offset_.back();
-  const std::size_t ns = basis_.shells.size();
+  const ShellLayout& layout = plan_.layout();
+  const std::size_t n = layout.num_functions();
   Matrix g(n);
   last_screened_ = 0;
 
@@ -57,57 +38,34 @@ Matrix DirectFockBuilder::build_g(const Matrix& density) const {
     }
   }
 
+  EriWorkspace ws;
   std::vector<double> block;
-  for (std::size_t sa = 0; sa < ns; ++sa) {
-    for (std::size_t sb = 0; sb < ns; ++sb) {
-      const double qab = schwarz_[sa * ns + sb];
-      for (std::size_t sc = 0; sc < ns; ++sc) {
-        for (std::size_t sd = 0; sd < ns; ++sd) {
-          if (qab * schwarz_[sc * ns + sd] * dmax < threshold_) {
-            ++last_screened_;
-            continue;
-          }
-          const Shell& A = basis_.shells[sa];
-          const Shell& B = basis_.shells[sb];
-          const Shell& C = basis_.shells[sc];
-          const Shell& D = basis_.shells[sd];
-          const std::size_t na = A.num_components();
-          const std::size_t nb = B.num_components();
-          const std::size_t nc = C.num_components();
-          const std::size_t nd = D.num_components();
-          std::shared_ptr<const std::vector<double>> cached;
-          const double* blk;
-          if (store_ != nullptr) {
-            cached = store_->shell_block(sa, sb, sc, sd);
-            blk = cached->data();
-          } else {
-            block.resize(na * nb * nc * nd);
-            compute_eri_block(A, B, C, D, block);
-            blk = block.data();
-          }
-          std::size_t idx = 0;
-          for (std::size_t i = 0; i < na; ++i) {
-            const std::size_t mu = offset_[sa] + i;
-            for (std::size_t j = 0; j < nb; ++j) {
-              const std::size_t nu = offset_[sb] + j;
-              for (std::size_t k = 0; k < nc; ++k) {
-                const std::size_t la = offset_[sc] + k;
-                for (std::size_t l = 0; l < nd; ++l, ++idx) {
-                  const std::size_t si = offset_[sd] + l;
-                  const double v = blk[idx];
-                  // Coulomb: (mu nu | la si) D_{si la};
-                  // exchange: -1/2 (mu nu | la si) D_{nu la} into
-                  // G_{mu si}.
-                  g(mu, nu) += v * density(si, la);
-                  g(mu, si) -= 0.5 * v * density(nu, la);
-                }
-              }
-            }
-          }
-        }
-      }
+  layout.for_each_quartet([&](std::size_t sa, std::size_t sb, std::size_t sc,
+                              std::size_t sd) {
+    if (plan_.schwarz(sa, sb) * plan_.schwarz(sc, sd) * dmax < threshold_) {
+      ++last_screened_;
+      return;
     }
-  }
+    std::shared_ptr<const std::vector<double>> cached;
+    const double* blk;
+    if (store_ != nullptr) {
+      cached = store_->shell_block(sa, sb, sc, sd);
+      blk = cached->data();
+    } else {
+      block.resize(layout.block_size(sa, sb, sc, sd));
+      plan_.compute(sa, sb, sc, sd, ws, block);
+      blk = block.data();
+    }
+    // Coulomb: (mu nu | la si) D_{si la}; exchange: -1/2 (mu nu | la si)
+    // D_{nu la} into G_{mu si}.
+    layout.for_each_element(
+        sa, sb, sc, sd, blk,
+        [&](std::size_t mu, std::size_t nu, std::size_t la, std::size_t si,
+            double v) {
+          g(mu, nu) += v * density(si, la);
+          g(mu, si) -= 0.5 * v * density(nu, la);
+        });
+  });
   return g;
 }
 

@@ -14,22 +14,24 @@
 // again" arm, without ever materializing the dense tensor.
 #pragma once
 
+#include "qc/quartet_plan.h"
 #include "qc/scf.h"
 
 namespace pastri::qc {
 
 class CompressedEriStore;
 
-/// Precomputed screening data for a basis (Schwarz bounds per shell
-/// pair), reused across Fock builds.
+/// The basis's quartet plan (shell pairs and Schwarz bounds), reused
+/// across Fock builds.
 class DirectFockBuilder {
  public:
   explicit DirectFockBuilder(const BasisSet& basis,
                              double screen_threshold = 1e-12);
 
   /// Decompress-direct mode: surviving quartets are read from `store`
-  /// (which must outlive the builder and match `basis`) instead of
-  /// being recomputed.
+  /// (which must outlive the builder) instead of being recomputed.
+  /// Throws std::invalid_argument unless the store was built for shells
+  /// of the same momenta at the same centers, in the same order.
   DirectFockBuilder(const BasisSet& basis, const CompressedEriStore& store,
                     double screen_threshold = 1e-12);
 
@@ -39,14 +41,14 @@ class DirectFockBuilder {
 
   /// Number of shell quartets skipped by screening in the last build.
   std::size_t last_screened() const { return last_screened_; }
-  std::size_t total_quartets() const;
+  std::size_t total_quartets() const {
+    return plan_.layout().num_quartets();
+  }
 
  private:
-  const BasisSet& basis_;
+  QuartetPlan plan_;
   const CompressedEriStore* store_ = nullptr;
   double threshold_;
-  std::vector<std::size_t> offset_;
-  std::vector<double> schwarz_;  ///< per shell pair
   mutable std::size_t last_screened_ = 0;
 };
 

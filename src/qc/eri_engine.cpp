@@ -358,32 +358,6 @@ EriStreamMeta generate_eri_block_batches(
   return meta;
 }
 
-EriStreamMeta generate_eri_blocks(
-    const Molecule& mol, const DatasetOptions& opt,
-    const std::function<void(const EriStreamMeta& meta, std::size_t block,
-                             std::span<const double> values)>& emit,
-    std::size_t batch_blocks) {
-  return generate_eri_block_batches(
-      mol, opt,
-      [&](const EriStreamMeta& meta, std::size_t first_block,
-          std::span<const double> values) {
-        const std::size_t bs = meta.shape.block_size();
-        for (std::size_t b = 0; b * bs < values.size(); ++b) {
-          emit(meta, first_block + b, values.subspan(b * bs, bs));
-        }
-      },
-      batch_blocks);
-}
-
-std::vector<double> compute_block(const Shell& A, const Shell& B,
-                                  const Shell& C, const Shell& D) {
-  std::vector<double> out(
-      static_cast<std::size_t>(num_cartesians(A.l)) * num_cartesians(B.l) *
-      num_cartesians(C.l) * num_cartesians(D.l));
-  compute_eri_block(A, B, C, D, out);
-  return out;
-}
-
 double measure_generation_rate(const Molecule& mol, const DatasetOptions& opt,
                                std::size_t blocks) {
   DatasetOptions o = opt;

@@ -120,21 +120,6 @@ EriStreamMeta generate_eri_block_batches(
                              std::span<const double> values)>& emit,
     std::size_t batch_blocks = 0);
 
-/// Per-block wrapper over `generate_eri_block_batches` (one callback per
-/// block, same order and bytes).  Kept for callers that want block
-/// granularity; small-block configs are cheaper through the batched
-/// entry point.
-EriStreamMeta generate_eri_blocks(
-    const Molecule& mol, const DatasetOptions& opt,
-    const std::function<void(const EriStreamMeta& meta, std::size_t block,
-                             std::span<const double> values)>& emit,
-    std::size_t batch_blocks = 0);
-
-/// Compute a single shell-quartet block for externally built shells
-/// (thin wrapper over compute_eri_block that allocates the output).
-std::vector<double> compute_block(const Shell& A, const Shell& B,
-                                  const Shell& C, const Shell& D);
-
 /// Throughput measurement helper for Fig. 11: evaluates `blocks` sampled
 /// blocks and returns generated MB per second of wall time.
 double measure_generation_rate(const Molecule& mol, const DatasetOptions& opt,

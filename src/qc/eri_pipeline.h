@@ -17,8 +17,8 @@
 // Because StreamWriter's bytes are independent of how put_values slices
 // the stream, and chunks arrive in dataset order, the pipelined
 // container is byte-identical to the sequential
-// generate_eri_blocks -> StreamWriter path -- the golden-digest tests
-// pin this.  Every knob here changes only wall time, never bytes.
+// generate_eri_block_batches -> StreamWriter path -- the golden-digest
+// tests pin this.  Every knob here changes only wall time, never bytes.
 #pragma once
 
 #include <cstdint>

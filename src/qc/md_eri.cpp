@@ -273,17 +273,6 @@ void compute_eri_block(const ShellPairData& bra, const ShellPairData& ket,
   }
 }
 
-void compute_eri_block(const Shell& A, const Shell& B, const Shell& C,
-                       const Shell& D, std::span<double> out) {
-  ShellPairData bra(A, B);
-  ShellPairData ket(C, D);
-  const int L = A.l + B.l + C.l + D.l;
-  bra.set_r_stride(L);
-  ket.set_r_stride(L);
-  EriWorkspace ws;
-  compute_eri_block(bra, ket, ws, out);
-}
-
 double schwarz_bound(const ShellPairData& pair, EriWorkspace& ws) {
   // Only the diagonal (ab|ab) of the pair super-matrix is needed; assemble
   // just those nA*nB elements instead of the full (nA*nB)^2 block --
@@ -332,13 +321,6 @@ double schwarz_bound(const ShellPairData& pair, EriWorkspace& ws) {
   double mx = 0.0;
   for (double v : ws.diag) mx = std::max(mx, std::abs(v));
   return std::sqrt(mx);
-}
-
-double schwarz_bound(const Shell& A, const Shell& B) {
-  ShellPairData pair(A, B);
-  pair.set_r_stride(2 * pair.l_sum());
-  EriWorkspace ws;
-  return schwarz_bound(pair, ws);
 }
 
 }  // namespace pastri::qc

@@ -18,9 +18,9 @@
 // product geometry, the HermiteE tables collapsed into flat term arenas)
 // is built once and reused across the O(n_pairs) quartets that share it,
 // and the per-quartet scratch (HermiteR) lives on the workspace so the
-// steady-state quartet loop performs no heap allocation.  The Shell-level
-// overloads remain as thin wrappers; both paths execute the identical FP
-// operations in the identical order, so results are bit-identical.
+// steady-state quartet loop performs no heap allocation.  BasisSet
+// consumers reach these kernels through QuartetPlan (qc/quartet_plan.h),
+// which owns one pair cache per basis.
 #pragma once
 
 #include <cstdint>
@@ -181,17 +181,9 @@ struct EriWorkspace {
 void compute_eri_block(const ShellPairData& bra, const ShellPairData& ket,
                        EriWorkspace& ws, std::span<double> out);
 
-/// Convenience Shell-level overload: builds both pairs and a workspace on
-/// the spot.  Bit-identical to the cached-pair path.
-void compute_eri_block(const Shell& A, const Shell& B, const Shell& C,
-                       const Shell& D, std::span<double> out);
-
 /// Cauchy-Schwarz screening bound: sqrt(max_component (ab|ab)).
 /// The true bound |(ab|cd)| <= Q_ab * Q_cd lets callers skip whole blocks.
 /// `pair` must have had set_r_stride(2 * pair.l_sum()) applied.
 double schwarz_bound(const ShellPairData& pair, EriWorkspace& ws);
-
-/// Convenience Shell-level overload (builds the pair per call).
-double schwarz_bound(const Shell& A, const Shell& B);
 
 }  // namespace pastri::qc

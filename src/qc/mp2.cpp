@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "qc/quartet_plan.h"
 #include "qc/sto3g.h"
 
 namespace pastri::qc {
@@ -146,23 +147,11 @@ Mp2Result run_mp2_from_store(const Molecule& mol, const BasisSet& basis,
   const std::size_t n = basis.num_basis_functions();
   const std::size_t nocc =
       static_cast<std::size_t>(electron_count(mol) / 2);
-  if (store.num_shells() != basis.shells.size()) {
+  const ShellLayout layout(basis);
+  if (!store.layout().same_shells(layout)) {
     throw std::invalid_argument("MP2: store does not match basis");
   }
   const Matrix& c = scf.mo_coefficients;
-
-  // Shell -> first basis function, for scattering block values into the
-  // dense half-transformed tensor.
-  const std::size_t num_shells = basis.shells.size();
-  std::vector<std::size_t> off(num_shells + 1, 0);
-  std::vector<std::size_t> nf(num_shells, 0);
-  for (std::size_t s = 0; s < num_shells; ++s) {
-    nf[s] = static_cast<std::size_t>(num_cartesians(basis.shells[s].l));
-    off[s + 1] = off[s] + nf[s];
-  }
-  if (off[num_shells] != n) {
-    throw std::invalid_argument("MP2: basis function count mismatch");
-  }
 
   auto idx = [n](std::size_t a, std::size_t b, std::size_t d,
                  std::size_t e) {
@@ -174,34 +163,19 @@ Mp2Result run_mp2_from_store(const Molecule& mol, const BasisSet& basis,
   // p -- the dense AO tensor never exists.  Same O(n^5) work as the
   // dense first quarter, O(n^4 + block) memory.
   EriTensor t1(n * n * n * n, 0.0);
-  for (std::size_t sp = 0; sp < num_shells; ++sp) {
-    for (std::size_t sq = 0; sq < num_shells; ++sq) {
-      for (std::size_t su = 0; su < num_shells; ++su) {
-        for (std::size_t sv = 0; sv < num_shells; ++sv) {
-          const auto block = store.shell_block(sp, sq, su, sv);
-          const auto& v = *block;
-          std::size_t e = 0;  // dense index within the block
-          for (std::size_t a = 0; a < nf[sp]; ++a) {
-            const std::size_t mu = off[sp] + a;
-            for (std::size_t b = 0; b < nf[sq]; ++b) {
-              const std::size_t nu = off[sq] + b;
-              for (std::size_t d = 0; d < nf[su]; ++d) {
-                const std::size_t la = off[su] + d;
-                for (std::size_t f = 0; f < nf[sv]; ++f, ++e) {
-                  const std::size_t si = off[sv] + f;
-                  const double val = v[e];
-                  if (val == 0.0) continue;
-                  for (std::size_t p = 0; p < n; ++p) {
-                    t1[idx(p, nu, la, si)] += c(mu, p) * val;
-                  }
-                }
-              }
-            }
+  layout.for_each_quartet([&](std::size_t sp, std::size_t sq, std::size_t su,
+                              std::size_t sv) {
+    const auto block = store.shell_block(sp, sq, su, sv);
+    layout.for_each_element(
+        sp, sq, su, sv, block->data(),
+        [&](std::size_t mu, std::size_t nu, std::size_t la, std::size_t si,
+            double val) {
+          if (val == 0.0) return;
+          for (std::size_t p = 0; p < n; ++p) {
+            t1[idx(p, nu, la, si)] += c(mu, p) * val;
           }
-        }
-      }
-    }
-  }
+        });
+  });
 
   const EriTensor mo = transform_last_three(std::move(t1), c);
   Mp2Result res;

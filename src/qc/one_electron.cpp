@@ -4,6 +4,7 @@
 #include <numbers>
 
 #include "qc/md_eri.h"
+#include "qc/quartet_plan.h"
 
 namespace pastri::qc {
 namespace {
@@ -14,15 +15,8 @@ namespace {
 template <typename Kernel>
 Matrix assemble_one_electron(const BasisSet& basis, int extra_j,
                              Kernel&& kernel) {
-  const auto index = basis_index(basis);
-  const std::size_t n = index.size();
-  Matrix out(n);
-
-  // Offsets of each shell's first basis function.
-  std::vector<std::size_t> offset(basis.shells.size() + 1, 0);
-  for (std::size_t s = 0; s < basis.shells.size(); ++s) {
-    offset[s + 1] = offset[s] + basis.shells[s].num_components();
-  }
+  const ShellLayout layout(basis);
+  Matrix out(layout.num_functions());
 
   for (std::size_t sa = 0; sa < basis.shells.size(); ++sa) {
     for (std::size_t sb = 0; sb < basis.shells.size(); ++sb) {
@@ -43,8 +37,8 @@ Matrix assemble_one_electron(const BasisSet& basis, int extra_j,
           const HermiteE Ez(A.l, B.l + extra_j, a, b, A.center[2],
                             B.center[2]);
           const double cc = pa.coefficient * pb.coefficient;
-          kernel(A, B, offset[sa], offset[sb], a, b, p, P, Ex, Ey, Ez, cc,
-                 out);
+          kernel(A, B, layout.offset(sa), layout.offset(sb), a, b, p, P, Ex,
+                 Ey, Ez, cc, out);
         }
       }
     }
@@ -53,16 +47,6 @@ Matrix assemble_one_electron(const BasisSet& basis, int extra_j,
 }
 
 }  // namespace
-
-std::vector<BasisIndexEntry> basis_index(const BasisSet& basis) {
-  std::vector<BasisIndexEntry> idx;
-  for (std::size_t s = 0; s < basis.shells.size(); ++s) {
-    for (int c = 0; c < basis.shells[s].num_components(); ++c) {
-      idx.push_back({s, c});
-    }
-  }
-  return idx;
-}
 
 Matrix overlap_matrix(const BasisSet& basis) {
   return assemble_one_electron(

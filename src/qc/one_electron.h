@@ -18,13 +18,6 @@
 
 namespace pastri::qc {
 
-/// Map from flat basis-function index to (shell, component).
-struct BasisIndexEntry {
-  std::size_t shell;
-  int component;
-};
-std::vector<BasisIndexEntry> basis_index(const BasisSet& basis);
-
 /// Overlap matrix S (n x n, n = number of basis functions).
 Matrix overlap_matrix(const BasisSet& basis);
 

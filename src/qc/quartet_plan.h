@@ -1,0 +1,127 @@
+// quartet_plan.h - The one shell-quartet path for BasisSet consumers.
+//
+// The dense ERI tensor, the compressed store, the direct Fock build and
+// store-backed MP2 all walk the same ns^4 ordered shell quartets of a
+// BasisSet.  `ShellLayout` is where each shell sits in basis-function
+// index space (offsets, widths, momenta, centers) and the one place that
+// enumerates the ordered quartets; `QuartetPlan` adds the integral side:
+// every shell pair's ShellPairData, built once and kept at each R stride
+// its quartets need, plus the Schwarz table.  Both are immutable after
+// construction; computing a block needs only a caller-owned workspace.
+#pragma once
+
+#include <cstddef>
+#include <span>
+#include <vector>
+
+#include "qc/basis.h"
+#include "qc/md_eri.h"
+
+namespace pastri::qc {
+
+/// Per-shell placement of a BasisSet in basis-function index space.
+class ShellLayout {
+ public:
+  explicit ShellLayout(const BasisSet& basis);
+
+  std::size_t num_shells() const { return l_.size(); }
+  std::size_t num_functions() const { return offset_.back(); }
+  std::size_t num_quartets() const {
+    const std::size_t ns = num_shells();
+    return ns * ns * ns * ns;
+  }
+
+  int momentum(std::size_t s) const { return l_[s]; }
+  /// First basis function of shell `s`.
+  std::size_t offset(std::size_t s) const { return offset_[s]; }
+  /// Cartesian components of shell `s`.
+  std::size_t width(std::size_t s) const {
+    return offset_[s + 1] - offset_[s];
+  }
+
+  /// Flat quartet index ((a*ns + b)*ns + c)*ns + d.
+  std::size_t quartet_index(std::size_t a, std::size_t b, std::size_t c,
+                            std::size_t d) const {
+    const std::size_t ns = num_shells();
+    return ((a * ns + b) * ns + c) * ns + d;
+  }
+
+  std::size_t block_size(std::size_t a, std::size_t b, std::size_t c,
+                         std::size_t d) const {
+    return width(a) * width(b) * width(c) * width(d);
+  }
+
+  /// True when both layouts have shells of the same momenta at the same
+  /// centers, in the same order -- the condition under which a block
+  /// stored for one basis can be read for the other.
+  bool same_shells(const ShellLayout& other) const {
+    return l_ == other.l_ && center_ == other.center_;
+  }
+
+  /// Call f(a, b, c, d) for every ordered shell quartet, in flat-index
+  /// order.
+  template <typename F>
+  void for_each_quartet(F&& f) const {
+    const std::size_t ns = num_shells();
+    for (std::size_t a = 0; a < ns; ++a)
+      for (std::size_t b = 0; b < ns; ++b)
+        for (std::size_t c = 0; c < ns; ++c)
+          for (std::size_t d = 0; d < ns; ++d) f(a, b, c, d);
+  }
+
+  /// Call f(mu, nu, la, si, value) for every element of the (a b|c d)
+  /// block `blk`, which is laid out as compute_eri_block writes it.
+  template <typename F>
+  void for_each_element(std::size_t a, std::size_t b, std::size_t c,
+                        std::size_t d, const double* blk, F&& f) const {
+    std::size_t idx = 0;
+    for (std::size_t mu = offset_[a]; mu < offset_[a + 1]; ++mu)
+      for (std::size_t nu = offset_[b]; nu < offset_[b + 1]; ++nu)
+        for (std::size_t la = offset_[c]; la < offset_[c + 1]; ++la)
+          for (std::size_t si = offset_[d]; si < offset_[d + 1]; ++si)
+            f(mu, nu, la, si, blk[idx++]);
+  }
+
+ private:
+  std::vector<int> l_;
+  std::vector<Vec3> center_;
+  std::vector<std::size_t> offset_;  ///< num_shells + 1 entries
+};
+
+/// A BasisSet's shell-pair cache and Schwarz table: computes any
+/// (a b|c d) block from pairs built once.  compute() is bit-identical
+/// to building both ShellPairData objects fresh for that quartet,
+/// because each pair is kept linearized at exactly the R stride the
+/// quartet uses.
+class QuartetPlan {
+ public:
+  explicit QuartetPlan(const BasisSet& basis);
+
+  const ShellLayout& layout() const { return layout_; }
+
+  /// Cauchy-Schwarz bound sqrt(max (ab|ab)) of shell pair (a, b).
+  double schwarz(std::size_t a, std::size_t b) const {
+    return schwarz_[a * layout_.num_shells() + b];
+  }
+
+  /// Compute the (a b|c d) block into `out`, which must hold
+  /// layout().block_size(a, b, c, d) doubles.
+  void compute(std::size_t a, std::size_t b, std::size_t c, std::size_t d,
+               EriWorkspace& ws, std::span<double> out) const;
+
+ private:
+  /// Pair (a, b) linearized for quartets whose other pair has momentum
+  /// sum `other_l_sum`.
+  const ShellPairData& pair(std::size_t a, std::size_t b,
+                            int other_l_sum) const {
+    return pairs_[(a * layout_.num_shells() + b) * num_l_sums_ +
+                  static_cast<std::size_t>(other_l_sum)];
+  }
+
+  ShellLayout layout_;
+  std::size_t num_l_sums_ = 0;  ///< 2 * max momentum + 1
+  std::vector<ShellPairData> pairs_;
+  std::vector<double> schwarz_;  ///< a * ns + b
+};
+
+}  // namespace pastri::qc

@@ -5,8 +5,8 @@
 
 #include <deque>
 
-#include "qc/md_eri.h"
 #include "qc/one_electron.h"
+#include "qc/quartet_plan.h"
 #include "qc/sto3g.h"
 
 namespace pastri::qc {
@@ -71,48 +71,22 @@ class Diis {
 }  // namespace
 
 EriTensor compute_eri_tensor(const BasisSet& basis) {
-  const auto index = basis_index(basis);
-  const std::size_t n = index.size();
+  const QuartetPlan plan(basis);
+  const ShellLayout& layout = plan.layout();
+  const std::size_t n = layout.num_functions();
   EriTensor eri(n * n * n * n, 0.0);
 
-  std::vector<std::size_t> offset(basis.shells.size() + 1, 0);
-  for (std::size_t s = 0; s < basis.shells.size(); ++s) {
-    offset[s + 1] = offset[s] + basis.shells[s].num_components();
-  }
-
+  EriWorkspace ws;
   std::vector<double> block;
-  for (std::size_t sa = 0; sa < basis.shells.size(); ++sa) {
-    for (std::size_t sb = 0; sb < basis.shells.size(); ++sb) {
-      for (std::size_t sc = 0; sc < basis.shells.size(); ++sc) {
-        for (std::size_t sd = 0; sd < basis.shells.size(); ++sd) {
-          const Shell& A = basis.shells[sa];
-          const Shell& B = basis.shells[sb];
-          const Shell& C = basis.shells[sc];
-          const Shell& D = basis.shells[sd];
-          const std::size_t na = A.num_components();
-          const std::size_t nb = B.num_components();
-          const std::size_t nc = C.num_components();
-          const std::size_t nd = D.num_components();
-          block.resize(na * nb * nc * nd);
-          compute_eri_block(A, B, C, D, block);
-          std::size_t idx = 0;
-          for (std::size_t i = 0; i < na; ++i) {
-            for (std::size_t j = 0; j < nb; ++j) {
-              for (std::size_t k = 0; k < nc; ++k) {
-                for (std::size_t l = 0; l < nd; ++l, ++idx) {
-                  const std::size_t mu = offset[sa] + i;
-                  const std::size_t nu = offset[sb] + j;
-                  const std::size_t la = offset[sc] + k;
-                  const std::size_t si = offset[sd] + l;
-                  eri[((mu * n + nu) * n + la) * n + si] = block[idx];
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
+  layout.for_each_quartet([&](std::size_t a, std::size_t b, std::size_t c,
+                              std::size_t d) {
+    block.resize(layout.block_size(a, b, c, d));
+    plan.compute(a, b, c, d, ws, block);
+    layout.for_each_element(
+        a, b, c, d, block.data(),
+        [&](std::size_t mu, std::size_t nu, std::size_t la, std::size_t si,
+            double v) { eri[((mu * n + nu) * n + la) * n + si] = v; });
+  });
   return eri;
 }
 

@@ -69,6 +69,8 @@ TEST(CompressedEriStore, ShellBlockWithinBoundWithoutMaterialize) {
   const CompressedEriStore store(basis, p);
   const std::size_t ns = store.num_shells();
   ASSERT_EQ(ns, basis.shells.size());
+  const QuartetPlan plan(basis);
+  EriWorkspace ws;
   std::vector<double> exact;
   for (std::size_t a = 0; a < ns; ++a) {
     for (std::size_t b = 0; b < ns; ++b) {
@@ -82,8 +84,7 @@ TEST(CompressedEriStore, ShellBlockWithinBoundWithoutMaterialize) {
               basis.shells[d].num_components();
           ASSERT_EQ(blk->size(), want);
           exact.resize(want);
-          compute_eri_block(basis.shells[a], basis.shells[b],
-                            basis.shells[c], basis.shells[d], exact);
+          plan.compute(a, b, c, d, ws, exact);
           EXPECT_LE(testutil::max_abs_diff(exact, *blk),
                     p.error_bound * (1 + 1e-12));
         }
@@ -96,20 +97,20 @@ TEST(CompressedEriStore, BlockCacheHitsAndEviction) {
   const BasisSet basis = make_sto3g_basis(h2o_molecule());
   Params p;
   CompressedEriStore store(basis, p);
-  EXPECT_EQ(store.cache_hits(), 0u);
+  EXPECT_EQ(store.cache_stats().hits, 0u);
   const auto first = store.shell_block(0, 0, 0, 0);
-  EXPECT_EQ(store.cache_misses(), 1u);
+  EXPECT_EQ(store.cache_stats().misses, 1u);
   const auto again = store.shell_block(0, 0, 0, 0);
-  EXPECT_EQ(store.cache_hits(), 1u);
+  EXPECT_EQ(store.cache_stats().hits, 1u);
   EXPECT_EQ(first.get(), again.get());  // served from cache, same object
 
   // A capacity-1 cache must evict, yet previously returned blocks stay
   // valid and a re-fetch still decodes the same values.
-  store.set_cache_capacity(1);
+  store.set_cache({1, 1});
   const auto other = store.shell_block(0, 0, 0, 1);
-  const std::size_t misses = store.cache_misses();
+  const std::size_t misses = store.cache_stats().misses;
   const auto refetch = store.shell_block(0, 0, 0, 0);  // was evicted
-  EXPECT_EQ(store.cache_misses(), misses + 1);
+  EXPECT_EQ(store.cache_stats().misses, misses + 1);
   EXPECT_EQ(*refetch, *first);
   EXPECT_FALSE(other->empty());
 
@@ -136,14 +137,14 @@ TEST(CompressedEriStore, SharesIdenticalDecodedBlocks) {
   const auto b = store.shell_block(1, 1, 1, 1);
   ASSERT_EQ(*a, *b);
   EXPECT_EQ(a.get(), b.get()) << "identical decoded blocks not shared";
-  EXPECT_EQ(store.cache_unique_blocks(), 1u);
-  EXPECT_EQ(store.cache_bytes(), a->size() * sizeof(double));
+  EXPECT_EQ(store.cache_stats().unique_blocks, 1u);
+  EXPECT_EQ(store.cache_stats().bytes, a->size() * sizeof(double));
   // A genuinely different quartet gets its own storage.
   const auto c = store.shell_block(2, 2, 2, 2);
   ASSERT_NE(*c, *a);
   EXPECT_NE(c.get(), a.get());
-  EXPECT_EQ(store.cache_unique_blocks(), 2u);
-  EXPECT_EQ(store.cache_bytes(), 2 * a->size() * sizeof(double));
+  EXPECT_EQ(store.cache_stats().unique_blocks, 2u);
+  EXPECT_EQ(store.cache_stats().bytes, 2 * a->size() * sizeof(double));
 }
 
 TEST(CompressedEriStore, CoarserBoundSmallerStore) {

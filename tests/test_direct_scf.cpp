@@ -2,11 +2,13 @@
 // arm: recompute ERIs on the fly with Schwarz screening).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/pastri.h"
 #include "qc/compressed_eri_store.h"
 #include "qc/direct_scf.h"
+#include "qc/mp2.h"
 #include "qc/sto3g.h"
 
 namespace pastri::qc {
@@ -83,7 +85,8 @@ TEST(DirectScf, EnergyFromCompressedStoreMatches) {
     ASSERT_TRUE(stored.converged) << mol.name;
     EXPECT_NEAR(stored.total_energy, direct.total_energy, 1e-7)
         << mol.name;
-    EXPECT_GT(store.cache_hits() + store.cache_misses(), 0u) << mol.name;
+    const CacheStats stats = store.cache_stats();
+    EXPECT_GT(stats.hits + stats.misses, 0u) << mol.name;
   }
 }
 
@@ -93,6 +96,21 @@ TEST(DirectScf, StoreBuilderRejectsMismatchedBasis) {
   Params p;
   const CompressedEriStore store(h2, p);
   EXPECT_THROW(DirectFockBuilder(h2o, store), std::invalid_argument);
+
+  // Same molecule with the atoms listed H, H, O: the shell and function
+  // counts agree with the O, H, H store, but the shell momenta and
+  // centers do not, so its blocks must not be read for this basis.
+  const CompressedEriStore ohh(h2o, p);
+  Molecule hho = h2o_molecule();
+  std::rotate(hho.atoms.begin(), hho.atoms.begin() + 1, hho.atoms.end());
+  const BasisSet reordered = make_sto3g_basis(hho);
+  ASSERT_EQ(reordered.shells.size(), h2o.shells.size());
+  ASSERT_EQ(reordered.num_basis_functions(), h2o.num_basis_functions());
+  EXPECT_THROW(DirectFockBuilder(reordered, ohh), std::invalid_argument);
+  const ScfResult scf = run_rhf_direct(hho, reordered);
+  ASSERT_TRUE(scf.converged);
+  EXPECT_THROW(run_mp2_from_store(hho, reordered, ohh, scf),
+               std::invalid_argument);
 }
 
 TEST(DirectScf, ScreeningSkipsQuartetsWithoutChangingEnergy) {

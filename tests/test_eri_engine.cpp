@@ -161,29 +161,33 @@ TEST(Dataset, GenerationRateIsPositive) {
 }
 
 TEST(Dataset, StreamedBlocksMatchDenseGeneration) {
-  // generate_eri_blocks must emit exactly the dense dataset's blocks, in
-  // dataset order, with identical metadata -- it is the write side of
-  // the compute -> compress pipeline, so any deviation would change the
-  // compressed bytes.
+  // generate_eri_block_batches must emit exactly the dense dataset's
+  // blocks, in dataset order, with identical metadata -- it is the write
+  // side of the compute -> compress pipeline, so any deviation would
+  // change the compressed bytes.  No batch size divides the 120 blocks,
+  // so every run ends on a short batch.
   DatasetOptions o;
   o.config = {2, 1, 1, 2};
   o.max_blocks = 120;
   o.seed = 5;
   const Molecule mol = make_benzene();
   const EriDataset dense = generate_eri_dataset(mol, o);
+  ASSERT_EQ(dense.num_blocks, 120u);
 
-  for (const std::size_t batch : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{7}}) {
+  // 0 = the default batch of 64 blocks.
+  for (const std::size_t batch : {std::size_t{0}, std::size_t{7},
+                                  std::size_t{49}}) {
     std::vector<double> streamed;
     std::size_t next = 0;
-    const EriStreamMeta meta = generate_eri_blocks(
+    const EriStreamMeta meta = generate_eri_block_batches(
         mol, o,
-        [&](const EriStreamMeta& m, std::size_t block,
+        [&](const EriStreamMeta& m, std::size_t first_block,
             std::span<const double> values) {
-          EXPECT_EQ(block, next) << "blocks must arrive in order";
+          EXPECT_EQ(first_block, next) << "batches must arrive in order";
           EXPECT_EQ(m.shape, dense.shape);
-          EXPECT_EQ(values.size(), dense.shape.block_size());
-          ++next;
+          const std::size_t bs = dense.shape.block_size();
+          EXPECT_EQ(values.size() % bs, 0u) << "whole blocks only";
+          next += values.size() / bs;
           streamed.insert(streamed.end(), values.begin(), values.end());
         },
         batch);

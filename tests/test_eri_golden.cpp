@@ -8,6 +8,7 @@
 // being value-preserving.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -16,9 +17,13 @@
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "qc/basis.h"
+#include "qc/compressed_eri_store.h"
 #include "qc/eri_engine.h"
 #include "qc/md_eri.h"
 #include "qc/molecule.h"
+#include "qc/quartet_plan.h"
+#include "qc/sto3g.h"
+#include "test_util.h"
 
 namespace pastri::qc {
 namespace {
@@ -41,6 +46,36 @@ std::uint64_t bits(double x) {
   std::uint64_t u;
   std::memcpy(&u, &x, sizeof(u));
   return u;
+}
+
+Molecule h2o_molecule() {
+  Molecule m;
+  m.name = "H2O";
+  m.atoms = {{"O", 8, {0, 0, 0}},
+             {"H", 1, {0, 1.4305, 1.1093}},
+             {"H", 1, {0, -1.4305, 1.1093}}};
+  return m;
+}
+
+/// Staggered methanol, CH3-OH (coordinates in Angstrom).
+Molecule methanol_molecule() {
+  struct {
+    const char* symbol;
+    int z;
+    double x, y, zc;
+  } const atoms[] = {
+      {"C", 6, -0.0465, 0.6633, 0.0},   {"O", 8, -0.0465, -0.7553, 0.0},
+      {"H", 1, -1.0863, 0.9766, 0.0},   {"H", 1, 0.4378, 1.0709, 0.8900},
+      {"H", 1, 0.4378, 1.0709, -0.8900}, {"H", 1, 0.8614, -1.0558, 0.0},
+  };
+  Molecule m;
+  m.name = "methanol";
+  for (const auto& a : atoms) {
+    m.atoms.push_back({a.symbol, a.z,
+                       {a.x * kAngstromToBohr, a.y * kAngstromToBohr,
+                        a.zc * kAngstromToBohr}});
+  }
+  return m;
 }
 
 TEST(EriGolden, DatasetDigestsMatchSeed) {
@@ -80,8 +115,8 @@ TEST(EriGolden, DatasetDigestsMatchSeed) {
 }
 
 TEST(EriGolden, SchwarzBoundBitsMatchSeed) {
-  // schwarz_bound now routes through the pair cache with the stride set
-  // for the diagonal quartet (2 * l_sum); the bound must stay bitwise
+  // The plan's Schwarz table comes from its cached pairs at the stride
+  // of the diagonal quartet (2 * l_sum); the bound must stay bitwise
   // what the uncached engine produced.
   struct Case {
     int l;
@@ -100,16 +135,20 @@ TEST(EriGolden, SchwarzBoundBitsMatchSeed) {
     bo.l = c.l;
     bo.contraction = c.contraction;
     const BasisSet bs = make_basis(mol, bo);
-    EXPECT_EQ(bits(schwarz_bound(bs.shells[0], bs.shells[1])), c.q01)
+    const QuartetPlan plan = testutil::plan_of(
+        {bs.shells[0], bs.shells[1], bs.shells[2], bs.shells[3]});
+    EXPECT_EQ(bits(plan.schwarz(0, 1)), c.q01)
         << "l=" << c.l << " c=" << c.contraction;
-    EXPECT_EQ(bits(schwarz_bound(bs.shells[2], bs.shells[3])), c.q23)
+    EXPECT_EQ(bits(plan.schwarz(2, 3)), c.q23)
         << "l=" << c.l << " c=" << c.contraction;
   }
 }
 
-TEST(EriGolden, CachedPairPathMatchesShellOverloadBitwise) {
-  // Same quartet through (a) the convenience Shell-level overload, (b) a
-  // fresh ShellPairData + workspace, and (c) the same pair objects and
+TEST(EriGolden, PlanPathMatchesFreshPairsBitwise) {
+  // Same quartet through (a) fresh ShellPairData objects at the quartet
+  // stride and a fresh workspace -- the per-quartet build every consumer
+  // used before the plan --, (b) a QuartetPlan, whose pairs were built
+  // once and copied per stride, and (c) the same pair objects and
   // workspace reused dirty after computing an unrelated quartet at a
   // different total momentum.  All three must agree to the bit.
   const Molecule mol = make_molecule("benzene");
@@ -119,24 +158,30 @@ TEST(EriGolden, CachedPairPathMatchesShellOverloadBitwise) {
   const BasisSet bs = make_basis(mol, bo);
   const Shell &A = bs.shells[0], &B = bs.shells[1], &C = bs.shells[2],
               &D = bs.shells[3];
-  const auto n = [](const Shell& s) {
-    return static_cast<std::size_t>((s.l + 1) * (s.l + 2) / 2);
-  };
-  const std::size_t size = n(A) * n(B) * n(C) * n(D);
-
-  std::vector<double> ref(size, 0.0);
-  compute_eri_block(A, B, C, D, std::span<double>(ref));
 
   ShellPairData bra(A, B), ket(C, D);
   const int l_total = bra.l_sum() + ket.l_sum();
   bra.set_r_stride(l_total);
   ket.set_r_stride(l_total);
+  const std::size_t size = bra.ncomp() * ket.ncomp();
   EriWorkspace ws;
-  std::vector<double> got(size, 0.0);
-  compute_eri_block(bra, ket, ws, std::span<double>(got));
-  for (std::size_t i = 0; i < size; ++i)
-    ASSERT_EQ(bits(got[i]), bits(ref[i])) << "fresh workspace, i=" << i;
+  std::vector<double> ref(size, 0.0);
+  compute_eri_block(bra, ket, ws, std::span<double>(ref));
   EXPECT_GT(ws.boys_evals, 0u);
+
+  // A plan mixing momenta, so pair (A, B) is kept at several strides.
+  BasisOptions dbo;
+  dbo.l = 2;
+  const BasisSet dshells = make_basis(mol, dbo);
+  const QuartetPlan plan =
+      testutil::plan_of({A, B, C, D, dshells.shells[0]});
+  EriWorkspace plan_ws;
+  std::vector<double> got(size, 0.0);
+  std::vector<double> mixed(plan.layout().block_size(0, 4, 0, 1));
+  plan.compute(0, 4, 0, 1, plan_ws, std::span<double>(mixed));
+  plan.compute(0, 1, 2, 3, plan_ws, std::span<double>(got));
+  for (std::size_t i = 0; i < size; ++i)
+    ASSERT_EQ(bits(got[i]), bits(ref[i])) << "plan, i=" << i;
 
   // Dirty the workspace with a lower-momentum quartet (the HermiteR
   // tensor shrinks, then must re-grow without stale data leaking), plus
@@ -157,6 +202,35 @@ TEST(EriGolden, CachedPairPathMatchesShellOverloadBitwise) {
   compute_eri_block(bra, ket, ws, std::span<double>(got));
   for (std::size_t i = 0; i < size; ++i)
     ASSERT_EQ(bits(got[i]), bits(ref[i])) << "dirty workspace, i=" << i;
+}
+
+TEST(EriGolden, BasisTensorAndStoreDigestsMatchSeed) {
+  // The mixed-momentum BasisSet path (s and p shells of STO-3G): the
+  // dense tensor and the compressed store's class streams, pinned from
+  // the per-quartet engine that preceded QuartetPlan.
+  const Molecule water = h2o_molecule();
+  const Molecule methanol = methanol_molecule();
+  const auto tensor_digest = [](const Molecule& mol) {
+    const EriTensor t = compute_eri_tensor(make_sto3g_basis(mol));
+    const auto* p = reinterpret_cast<const std::uint8_t*>(t.data());
+    return fnv1a({p, t.size() * sizeof(double)});
+  };
+  EXPECT_EQ(tensor_digest(water), 0xdf9ddcafc84745a1ull);
+  EXPECT_EQ(tensor_digest(methanol), 0x1abd0221243883aeull);
+
+  // Class streams concatenated in class order, (ss|ss) ... (pp|pp).
+  const CompressedEriStore store(make_sto3g_basis(water), Params{});
+  std::vector<std::uint8_t> streams;
+  for (int c = 0; c < 16; ++c) {
+    const std::array<int, 4> cls{(c >> 3) & 1, (c >> 2) & 1, (c >> 1) & 1,
+                                 c & 1};
+    const auto s = store.class_stream(cls);
+    ASSERT_FALSE(s.empty()) << "class " << c;
+    streams.insert(streams.end(), s.begin(), s.end());
+  }
+  EXPECT_EQ(streams.size(), store.compressed_bytes());
+  EXPECT_EQ(store.compressed_bytes(), 12649u);
+  EXPECT_EQ(fnv1a(streams), 0xfbc67e21c0aa5d8full);
 }
 
 TEST(EriGolden, TabulatedBoysTracksExactPath) {

@@ -6,8 +6,8 @@
 #include <numbers>
 #include <random>
 
-#include "qc/eri_engine.h"
 #include "qc/md_eri.h"
+#include "test_util.h"
 
 namespace pastri::qc {
 namespace {
@@ -71,7 +71,7 @@ TEST(MdEri, SameCenterSsssAnalytic) {
   // Four normalized s Gaussians with exponent 1 at the origin:
   // (ss|ss) = 2/sqrt(pi).
   const Shell s = make_shell(0, {0, 0, 0}, 1.0);
-  const auto v = compute_block(s, s, s, s);
+  const auto v = testutil::eri_quartet(s, s, s, s);
   ASSERT_EQ(v.size(), 1u);
   EXPECT_NEAR(v[0], 2.0 / std::sqrt(std::numbers::pi), 1e-12);
 }
@@ -91,14 +91,14 @@ TEST(MdEri, GeneralSameCenterSsss) {
                         primitive_norm(b, 0, 0, 0) *
                         primitive_norm(c, 0, 0, 0) *
                         primitive_norm(d, 0, 0, 0);
-  EXPECT_NEAR(compute_block(A, B, C, D)[0], expect, 1e-12 * expect);
+  EXPECT_NEAR(testutil::eri_quartet(A, B, C, D)[0], expect, 1e-12 * expect);
 }
 
 TEST(MdEri, CoulombLongRangeLimit) {
   // Distant unit charge distributions repel as 1/R.
   const Shell s1 = make_shell(0, {0, 0, 0}, 1.3);
   const Shell s2 = make_shell(0, {25.0, 0, 0}, 0.9);
-  const auto v = compute_block(s1, s1, s2, s2);
+  const auto v = testutil::eri_quartet(s1, s1, s2, s2);
   EXPECT_NEAR(v[0], 1.0 / 25.0, 1e-10);
 }
 
@@ -107,8 +107,8 @@ TEST(MdEri, BraKetSwapSymmetry) {
   const Shell d1 = make_shell(2, {1.2, 0.4, -0.3}, 1.1);
   const Shell p2 = make_shell(1, {-0.7, 0.9, 0.1}, 0.9);
   const Shell s1 = make_shell(0, {0.5, 0.5, -0.5}, 1.4);
-  const auto braket = compute_block(p1, d1, p2, s1);  // [3][6][3][1]
-  const auto ketbra = compute_block(p2, s1, p1, d1);  // [3][1][3][6]
+  const auto braket = testutil::eri_quartet(p1, d1, p2, s1);  // [3][6][3][1]
+  const auto ketbra = testutil::eri_quartet(p2, s1, p1, d1);  // [3][1][3][6]
   for (int a = 0; a < 3; ++a) {
     for (int b = 0; b < 6; ++b) {
       for (int c = 0; c < 3; ++c) {
@@ -123,8 +123,8 @@ TEST(MdEri, WithinPairSwapSymmetry) {
   const Shell p1 = make_shell(1, {0.1, 0.0, 0.2}, 0.7);
   const Shell d1 = make_shell(2, {0.9, -0.4, 0.0}, 1.2);
   const Shell s1 = make_shell(0, {-0.5, 0.6, 0.3}, 1.0);
-  const auto ab = compute_block(p1, d1, s1, s1);  // [3][6][1][1]
-  const auto ba = compute_block(d1, p1, s1, s1);  // [6][3][1][1]
+  const auto ab = testutil::eri_quartet(p1, d1, s1, s1);  // [3][6][1][1]
+  const auto ba = testutil::eri_quartet(d1, p1, s1, s1);  // [6][3][1][1]
   for (int a = 0; a < 3; ++a) {
     for (int b = 0; b < 6; ++b) {
       EXPECT_NEAR(ab[a * 6 + b], ba[b * 3 + a], 1e-13);
@@ -138,11 +138,11 @@ TEST(MdEri, TranslationInvariance) {
   Shell B = make_shell(2, {1.0, -0.3, 0.0}, 1.3);
   Shell C = make_shell(1, {-0.8, 0.5, 0.6}, 0.8);
   Shell D = make_shell(0, {0.4, 0.4, -0.9}, 1.1);
-  const auto before = compute_block(A, B, C, D);
+  const auto before = testutil::eri_quartet(A, B, C, D);
   for (Shell* s : {&A, &B, &C, &D}) {
     for (int k = 0; k < 3; ++k) s->center[k] += shift[k];
   }
-  const auto after = compute_block(A, B, C, D);
+  const auto after = testutil::eri_quartet(A, B, C, D);
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_NEAR(before[i], after[i],
                 1e-12 * std::max(1.0, std::abs(before[i])));
@@ -158,8 +158,8 @@ TEST(MdEri, AxisPermutationInvariance) {
   const Shell B = make_shell(0, cB, 1.2);
   const Shell A2 = make_shell(1, swap_xy(cA), 0.9);
   const Shell B2 = make_shell(0, swap_xy(cB), 1.2);
-  const auto orig = compute_block(A, B, A, B);   // [3][1][3][1]
-  const auto swpd = compute_block(A2, B2, A2, B2);
+  const auto orig = testutil::eri_quartet(A, B, A, B);   // [3][1][3][1]
+  const auto swpd = testutil::eri_quartet(A2, B2, A2, B2);
   const int perm[3] = {1, 0, 2};
   for (int i = 0; i < 3; ++i) {
     for (int k = 0; k < 3; ++k) {
@@ -172,7 +172,7 @@ TEST(MdEri, DiagonalPositive) {
   // (ab|ab) diagonal elements are squared norms in the Coulomb metric.
   const Shell A = make_shell(2, {0.0, 0.0, 0.0}, 1.0);
   const Shell B = make_shell(1, {1.1, 0.2, -0.4}, 0.8);
-  const auto block = compute_block(A, B, A, B);
+  const auto block = testutil::eri_quartet(A, B, A, B);
   const int n = 6 * 3;
   for (int i = 0; i < n; ++i) {
     EXPECT_GT(block[i * n + i], 0.0) << "i=" << i;
@@ -193,8 +193,9 @@ TEST(MdEri, SchwarzBoundHolds) {
                                expo(gen));
     const Shell D = make_shell(mom(gen), {pos(gen), pos(gen), pos(gen)},
                                expo(gen));
-    const double bound = schwarz_bound(A, B) * schwarz_bound(C, D);
-    const auto block = compute_block(A, B, C, D);
+    const QuartetPlan plan = testutil::plan_of({A, B, C, D});
+    const double bound = plan.schwarz(0, 1) * plan.schwarz(2, 3);
+    const auto block = testutil::eri_quartet(A, B, C, D);
     for (double v : block) {
       EXPECT_LE(std::abs(v), bound * (1.0 + 1e-10))
           << "trial " << trial;
@@ -214,9 +215,9 @@ TEST(MdEri, ContractionIsLinear) {
   part1.primitives = {{0.7, 0.6}};
   part2.primitives = {{1.9, 0.8}};
   const Shell probe = make_shell(0, {1.0, 1.0, 1.0}, 1.0);
-  const auto full = compute_block(contracted, probe, probe, probe);
-  const auto p1 = compute_block(part1, probe, probe, probe);
-  const auto p2 = compute_block(part2, probe, probe, probe);
+  const auto full = testutil::eri_quartet(contracted, probe, probe, probe);
+  const auto p1 = testutil::eri_quartet(part1, probe, probe, probe);
+  const auto p2 = testutil::eri_quartet(part2, probe, probe, probe);
   EXPECT_NEAR(full[0], p1[0] + p2[0], 1e-13 * std::abs(full[0]));
 }
 
@@ -224,7 +225,7 @@ TEST(MdEri, GShellBlockFiniteAndSymmetric) {
   // The engine supports up to g shells (L_total = 16 for (gg|gg)).
   const Shell g1 = make_shell(4, {0.0, 0.0, 0.0}, 1.0);
   const Shell g2 = make_shell(4, {1.2, -0.4, 0.6}, 0.9);
-  const auto block = compute_block(g1, g2, g1, g2);
+  const auto block = testutil::eri_quartet(g1, g2, g1, g2);
   ASSERT_EQ(block.size(), 15u * 15 * 15 * 15);
   for (double v : block) {
     ASSERT_TRUE(std::isfinite(v));
@@ -244,7 +245,7 @@ TEST(MdEri, FShellBlockFinite) {
   // values of plausible magnitude.
   const Shell f1 = make_shell(3, {0.0, 0.0, 0.0}, 0.8);
   const Shell f2 = make_shell(3, {1.5, 0.3, -0.4}, 0.9);
-  const auto block = compute_block(f1, f2, f1, f2);
+  const auto block = testutil::eri_quartet(f1, f2, f1, f2);
   ASSERT_EQ(block.size(), 10u * 10 * 10 * 10);
   for (double v : block) {
     EXPECT_TRUE(std::isfinite(v));

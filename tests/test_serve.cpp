@@ -227,11 +227,12 @@ TEST_F(Serve, CacheConfigStructs) {
   EXPECT_EQ(stats.unique_blocks, 1u);
   EXPECT_GT(stats.bytes, 0u);
 
-  // The deprecated accessors are thin views of the same stats.
-  EXPECT_EQ(store.cache_hits(), stats.hits);
-  EXPECT_EQ(store.cache_misses(), stats.misses);
-  EXPECT_EQ(store.cache_bytes(), stats.bytes);
-  EXPECT_EQ(store.cache_unique_blocks(), stats.unique_blocks);
+  // Reading the stats is not a cache access: a second read agrees.
+  const CacheStats again = store.cache_stats();
+  EXPECT_EQ(again.hits, stats.hits);
+  EXPECT_EQ(again.misses, stats.misses);
+  EXPECT_EQ(again.bytes, stats.bytes);
+  EXPECT_EQ(again.unique_blocks, stats.unique_blocks);
 
   // Shard counts are clamped to the capacity (a 1-block cache cannot
   // stripe 8 ways without losing exact LRU accounting).

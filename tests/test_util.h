@@ -8,6 +8,7 @@
 
 #include "core/block_spec.h"
 #include "qc/eri_engine.h"
+#include "qc/quartet_plan.h"
 
 namespace pastri::testutil {
 
@@ -55,6 +56,26 @@ inline std::vector<double> noisy_pattern_block(const pastri::BlockSpec& spec,
   std::uniform_real_distribution<double> dist(-noise, noise);
   for (auto& x : block) x += dist(gen);
   return block;
+}
+
+/// QuartetPlan over ad-hoc shells, in the given order.
+inline pastri::qc::QuartetPlan plan_of(
+    std::vector<pastri::qc::Shell> shells) {
+  pastri::qc::BasisSet basis;
+  basis.shells = std::move(shells);
+  return pastri::qc::QuartetPlan(basis);
+}
+
+/// The (AB|CD) block of four ad-hoc shells, computed through a plan.
+inline std::vector<double> eri_quartet(const pastri::qc::Shell& A,
+                                       const pastri::qc::Shell& B,
+                                       const pastri::qc::Shell& C,
+                                       const pastri::qc::Shell& D) {
+  const pastri::qc::QuartetPlan plan = plan_of({A, B, C, D});
+  pastri::qc::EriWorkspace ws;
+  std::vector<double> out(plan.layout().block_size(0, 1, 2, 3));
+  plan.compute(0, 1, 2, 3, ws, out);
+  return out;
 }
 
 /// Small cached ERI dataset for integration-style tests (computed once).
