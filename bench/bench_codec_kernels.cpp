@@ -8,7 +8,8 @@
 //
 // Results go to BENCH_codec_kernels.json at the repo root (GB/s for
 // byte-oriented rows, symbols/s for the ECQ rows).  PASTRI_BENCH_QUICK=1
-// shrinks the inputs for the ctest `Perf` smoke run.
+// shrinks the inputs for the ctest `Perf` smoke run, which writes its
+// JSON into the build tree instead (see bench::artifact_path).
 #include <cstring>
 #include <fstream>
 #include <random>
@@ -607,7 +608,8 @@ int main() {
 
   std::printf("%-38s %10s %10s %9s\n", "kernel", "before", "after",
               "speedup");
-  std::ofstream json(bench::artifact_path("BENCH_codec_kernels.json"));
+  const std::string out = bench::artifact_path("BENCH_codec_kernels.json");
+  std::ofstream json(out);
   json << "[\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -654,7 +656,6 @@ int main() {
   }
   json << "]\n";
   bench::print_rule();
-  std::printf("wrote %s\n",
-              bench::artifact_path("BENCH_codec_kernels.json").c_str());
+  std::printf("wrote %s\n", out.c_str());
   return 0;
 }

@@ -113,14 +113,19 @@ inline double best_time_seconds(const std::function<void()>& fn,
   return best;
 }
 
-/// Where to write a checked-in bench artifact (BENCH_*.json): the repo
-/// root when the build exported it (bench/CMakeLists.txt defines
-/// PASTRI_SOURCE_DIR), falling back to the working directory so the
-/// binaries still run standalone.
-inline std::string artifact_path(const char* filename) {
-#ifdef PASTRI_SOURCE_DIR
-  return std::string(PASTRI_SOURCE_DIR) + "/" + filename;
+/// Where to write a bench artifact (BENCH_*.json).  A full run writes
+/// the checked-in copy at the repo root; a quick or smoke run writes
+/// into the build tree, wherever it is started from, so smoke numbers
+/// never overwrite the recorded ones.  bench/CMakeLists.txt defines
+/// both directories; a binary built without them writes into the
+/// working directory.
+inline std::string artifact_path(const char* filename,
+                                 bool smoke = quick_mode()) {
+#if defined(PASTRI_SOURCE_DIR) && defined(PASTRI_BENCH_BINARY_DIR)
+  return std::string(smoke ? PASTRI_BENCH_BINARY_DIR : PASTRI_SOURCE_DIR) +
+         "/" + filename;
 #else
+  (void)smoke;
   return filename;
 #endif
 }

@@ -16,9 +16,10 @@
 //      count (which must be zero).
 //
 // Emits BENCH_serve.json at the repo root.  `--smoke` shrinks the run
-// for CI; `--port N` targets an externally started daemon instead of
-// an in-process Server (the CI smoke step uses this against a real
-// pastri_serve process).
+// for CI and writes the JSON into the build tree instead (see
+// bench::artifact_path); `--port N` targets an externally started
+// daemon instead of an in-process Server (the CI smoke step uses this
+// against a real pastri_serve process).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -244,7 +245,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(errors));
 
   // ---- artifact ---------------------------------------------------------
-  std::ofstream json(bench::artifact_path("BENCH_serve.json"));
+  const std::string out = bench::artifact_path("BENCH_serve.json", smoke);
+  std::ofstream json(out);
   json << "{\n  \"mode\": \"" << (smoke ? "smoke" : "default") << "\",\n";
   json << "  \"host\": {\"hardware_concurrency\": "
        << std::thread::hardware_concurrency() << "},\n";
@@ -269,8 +271,7 @@ int main(int argc, char** argv) {
        << ", \"bytes_written\": " << bytes_written << ", \"errors\": "
        << errors << "}\n}\n";
   json.close();
-  std::printf("wrote %s\n",
-              bench::artifact_path("BENCH_serve.json").c_str());
+  std::printf("wrote %s\n", out.c_str());
 
   std::remove(container.c_str());
   return errors == 0 ? 0 : 1;

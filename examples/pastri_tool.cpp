@@ -32,6 +32,7 @@
 #include "core/pastri_capi.h"
 #include "core/simd/simd.h"
 #include "core/stream.h"
+#include "io/tool_container.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "qc/eri_engine.h"
@@ -118,64 +119,6 @@ std::ostream& open_output(const std::string& path, std::ofstream& file) {
   return file;
 }
 
-// The pastri_tool container: "TSCP" magic, label, block shape, then one
-// PaSTRI stream.  All fields little-endian, all byte-aligned.
-constexpr std::uint32_t kToolMagic = 0x50435354;  // "TSCP"
-
-void write_tool_header(std::ostream& os, const std::string& label,
-                       const qc::BlockShape& shape) {
-  os.write(reinterpret_cast<const char*>(&kToolMagic), 4);
-  const std::uint32_t label_len = static_cast<std::uint32_t>(label.size());
-  os.write(reinterpret_cast<const char*>(&label_len), 4);
-  os.write(label.data(), label_len);
-  for (auto n : shape.n) {
-    os.write(reinterpret_cast<const char*>(&n), 2);
-  }
-  if (!os) throw std::runtime_error("container header write failed");
-}
-
-void read_tool_header(std::istream& is, std::string& label,
-                      qc::BlockShape& shape) {
-  std::uint32_t magic = 0, label_len = 0;
-  is.read(reinterpret_cast<char*>(&magic), 4);
-  if (!is || magic != kToolMagic) {
-    throw std::runtime_error("not a pastri_tool container");
-  }
-  is.read(reinterpret_cast<char*>(&label_len), 4);
-  if (!is || label_len > (1u << 20)) {
-    throw std::runtime_error("corrupt label");
-  }
-  label.resize(label_len);
-  is.read(label.data(), label_len);
-  for (auto& n : shape.n) {
-    is.read(reinterpret_cast<char*>(&n), 2);
-  }
-  if (!is) throw std::runtime_error("truncated container header");
-}
-
-/// A whole pastri_tool container held in memory: its label and the
-/// PaSTRI stream that follows the header (a view into the bytes).
-struct ToolFile {
-  std::string label;
-  std::span<const std::uint8_t> stream;
-};
-
-ToolFile parse_tool_file(std::span<const std::uint8_t> bytes) {
-  bitio::BitReader r(bytes);
-  if (r.read_bits(32) != kToolMagic) {
-    throw std::runtime_error("not a pastri_tool container");
-  }
-  const auto label_len = static_cast<std::uint32_t>(r.read_bits(32));
-  if (label_len > (1u << 20)) throw std::runtime_error("corrupt label");
-  ToolFile file;
-  file.label.resize(label_len);
-  for (auto& ch : file.label) ch = static_cast<char>(r.read_bits(8));
-  r.skip_bits(4 * 16);  // BlockShape: four u16 basis-function counts
-  r.align_to_byte();
-  file.stream = bytes.subspan(r.bit_position() / 8);
-  return file;
-}
-
 int cmd_compress(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string in = argv[0], out = argv[1];
@@ -208,7 +151,7 @@ int cmd_compress(int argc, char** argv) {
   const BlockSpec spec{hdr.shape.num_sub_blocks(),
                        hdr.shape.sub_block_size()};
   OstreamSink sink(os);
-  write_tool_header(os, hdr.label, hdr.shape);
+  io::write_tool_header(os, {hdr.label, hdr.shape});
   StreamWriter writer(sink, spec, p,
                       StreamWriterOptions{.expected_blocks = hdr.num_blocks});
 
@@ -270,9 +213,8 @@ int cmd_decompress(int argc, char** argv) {
   std::istream& is = open_input(in, fin);
   std::ostream& os = open_output(out, fout);
 
-  std::string label;
-  qc::BlockShape shape;
-  read_tool_header(is, label, shape);
+  const io::ToolHeader header = io::read_tool_header(is);
+  const qc::BlockShape& shape = header.shape;
   IstreamSource source(is);
   StreamConsumer consumer(
       source, StreamConsumerOptions{.chunk_bytes = chunk_bytes,
@@ -282,7 +224,7 @@ int cmd_decompress(int argc, char** argv) {
     throw std::runtime_error("container shape disagrees with stream header");
   }
   const std::size_t num_blocks = consumer.blocks_remaining();
-  qc::write_dataset_header(os, {label, shape, num_blocks});
+  qc::write_dataset_header(os, {header.label, shape, num_blocks});
 
   std::vector<double> buf(
       std::max<std::size_t>(1, chunk_bytes / sizeof(double)));
@@ -312,7 +254,7 @@ int cmd_verify(const char* eri_path, const char* pastri_path) {
   const auto bytes = read_file(pastri_path);
 
   // Whole-container path: parse the header in memory, decompress all.
-  const auto stream = parse_tool_file(bytes).stream;
+  const auto stream = io::parse_tool_file(bytes).stream;
   const auto info = peek_info(stream);
   const auto restored = decompress(stream, info);
   if (restored.size() != original.values.size()) {
@@ -334,7 +276,7 @@ int cmd_extract(const char* in, const char* first_s, const char* count_s) {
   // Random access through the block index: only the requested blocks are
   // decoded, however large the container.
   const auto bytes = read_file(in);
-  const BlockReader reader(parse_tool_file(bytes).stream);
+  const BlockReader reader(io::parse_tool_file(bytes).stream);
   const std::size_t first = std::stoull(first_s);
   const std::size_t count = count_s ? std::stoull(count_s) : 1;
   const auto values = reader.read_range(first, count);
@@ -350,7 +292,7 @@ int cmd_extract(const char* in, const char* first_s, const char* count_s) {
 
 int cmd_inspect(const char* in) {
   const auto bytes = read_file(in);
-  const ToolFile file = parse_tool_file(bytes);
+  const io::ToolFile file = io::parse_tool_file(bytes);
   const auto stream = file.stream;
 
   // Probe through the C API first: a malformed or truncated container
@@ -375,7 +317,7 @@ int cmd_inspect(const char* in) {
   const StreamInfo& info = reader.info();
   std::printf("%s: container v%u, %zu blocks of %zux%zu (EB=%.0e, %s, "
               "%s)\n",
-              file.label.c_str(), info.version, reader.num_blocks(),
+              file.header.label.c_str(), info.version, reader.num_blocks(),
               info.spec.num_sub_blocks, info.spec.sub_block_size,
               info.error_bound, scaling_metric_name(info.metric),
               ecq_tree_name(info.tree));

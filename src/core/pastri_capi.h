@@ -128,19 +128,13 @@ pastri_status pastri_peek(const unsigned char* stream, size_t stream_size,
  * A store is a long-lived, read-mostly handle over compressed data with
  * a sharded LRU cache of decoded blocks in front of it -- the server
  * surface of the library: pastri_serve's OPEN_STORE/GET_BLOCK RPCs map
- * 1:1 onto these calls.  Three backings:
- *
- *   - pastri_store_open(path):  a single PaSTRI container (raw stream
- *     as written by pastri_stream_* / the C++ StreamWriter, or a
- *     pastri_tool "TSCP" file -- sniffed from the magic), or a sharded
- *     dataset when `path` is its manifest file
- *     ("<dir>/<basename>.manifest"); shards are concatenated in dataset
- *     block order.  Blocks are addressed by index via
- *     pastri_store_get_block / pastri_store_get_range.
- *
- *   - pastri_store_open_eri(molecule): computes and compresses the ERI
- *     tensor of a named built-in molecule (STO-3G) and serves
- *     shell-quartet blocks via pastri_store_shell_block.
+ * 1:1 onto these calls.  One backing, opened by pastri_store_open(path):
+ * a single PaSTRI container (raw stream as written by pastri_stream_* /
+ * the C++ StreamWriter, or a pastri_tool "TSCP" file -- sniffed from the
+ * magic), or a sharded dataset when `path` is its manifest file
+ * ("<dir>/<basename>.manifest", e.g. from pastri_eri_dump); shards are
+ * concatenated in dataset block order.  Blocks are addressed by index
+ * via pastri_store_get_block / pastri_store_get_range.
  *
  * Thread safety: all get/stats calls on one store are safe to call
  * concurrently (the decoded-block cache is mutex-striped and the decode
@@ -178,47 +172,26 @@ pastri_status pastri_store_open(const char* path,
                                 const pastri_store_cache_config* cache,
                                 pastri_store** out);
 
-/* Open an ERI store for a named built-in molecule ("benzene",
- * "glutamine", "alanine"): computes all shell-quartet blocks, compresses them
- * one stream per quartet class, and serves them via
- * pastri_store_shell_block.  `params` may be NULL for the paper
- * defaults. */
-pastri_status pastri_store_open_eri(const char* molecule,
-                                    const pastri_params* params,
-                                    const pastri_store_cache_config* cache,
-                                    pastri_store** out);
-
-/* Total blocks (file-backed: container blocks; ERI-backed: shell
- * quartets). */
+/* Total blocks in the store (all shards). */
 pastri_status pastri_store_num_blocks(const pastri_store* store,
                                       size_t* out);
 
-/* Values per block (file-backed stores; ERI-backed stores have
- * per-quartet sizes -- see pastri_store_shell_block). */
+/* Values per block. */
 pastri_status pastri_store_block_size(const pastri_store* store,
                                       size_t* out);
 
 /* Decode block `block` into `out` (>= out_capacity values, which must
  * be >= the store's block size).  Served from the decoded-block cache
- * when warm.  File-backed stores only. */
+ * when warm. */
 pastri_status pastri_store_get_block(pastri_store* store, size_t block,
                                      double* out, size_t out_capacity);
 
 /* Decode blocks [first, first+count) into `out` (capacity
  * count * block_size values).  Bypasses the cache and batches into the
- * block-parallel range decoder.  File-backed stores only. */
+ * block-parallel range decoder. */
 pastri_status pastri_store_get_range(pastri_store* store, size_t first,
                                      size_t count, double* out,
                                      size_t out_capacity);
-
-/* Decode the (p q | u v) shell-quartet block of an ERI store into
- * `out`; *out_count (may be NULL) receives the number of values
- * written.  Returns PASTRI_ERR_INVALID_ARGUMENT for shell indices
- * outside the basis or a too-small buffer.  ERI-backed stores only. */
-pastri_status pastri_store_shell_block(pastri_store* store, size_t p,
-                                       size_t q, size_t u, size_t v,
-                                       double* out, size_t out_capacity,
-                                       size_t* out_count);
 
 /* Replace the cache geometry (changing the shard count drops cached
  * entries; counters persist). */

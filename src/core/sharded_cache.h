@@ -1,7 +1,7 @@
 // sharded_cache.h - Mutex-striped LRU cache for decoded blocks, shared
 // by every layer that serves repeated reads off a compressed container:
-// CompressedEriStore (qc), BlockStore (io), and through them the
-// pastri_store_* C API and the pastri_serve daemon.
+// CompressedEriStore (qc) and BlockStore (io), and through BlockStore
+// the pastri_store_* C API and the pastri_serve daemon.
 //
 // The original CompressedEriStore cache held one global mutex across
 // the whole lookup-decode-insert sequence, serializing all readers.
@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -74,9 +75,11 @@ inline std::uint64_t value_hash(const std::vector<double>& values) {
 
 }  // namespace detail
 
-template <typename Key, typename Hash = std::hash<Key>>
+/// Keys are block numbers: a BlockStore's store-global block index, or
+/// a CompressedEriStore's ShellLayout::quartet_index.
 class ShardedBlockCache {
  public:
+  using Key = std::size_t;
   using Value = std::shared_ptr<const std::vector<double>>;
 
   explicit ShardedBlockCache(const CacheConfig& config = {}) {
@@ -127,7 +130,7 @@ class ShardedBlockCache {
   /// Shard-locked O(1) probe.  A hit refreshes the entry's recency and
   /// returns the shared decoded vector; a miss returns nullptr.  Each
   /// call counts exactly one hit or one miss.
-  Value lookup(const Key& key) {
+  Value lookup(Key key) {
     std::shared_lock<std::shared_mutex> structure(structure_mutex_);
     Shard& s = shard_of_(key);
     std::lock_guard<std::mutex> lock(s.mutex);
@@ -145,7 +148,7 @@ class ShardedBlockCache {
   /// inserts of the same decoded bytes (same key or not) converge on
   /// one canonical vector; that canonical value is cached under `key`
   /// (unless capacity is 0) and returned.  Counts neither hit nor miss.
-  Value insert(const Key& key, std::vector<double>&& decoded) {
+  Value insert(Key key, std::vector<double>&& decoded) {
     Value value = dedup_(std::move(decoded));
     std::shared_lock<std::shared_mutex> structure(structure_mutex_);
     Shard& s = shard_of_(key);
@@ -197,8 +200,7 @@ class ShardedBlockCache {
   struct Shard {
     mutable std::mutex mutex;
     std::list<Key> lru;  ///< most recent at front
-    std::map<Key, std::pair<typename std::list<Key>::iterator, Value>>
-        entries;
+    std::map<Key, std::pair<std::list<Key>::iterator, Value>> entries;
     std::size_t capacity = 0;
     std::size_t hits = 0;
     std::size_t misses = 0;
@@ -214,8 +216,8 @@ class ShardedBlockCache {
 
   /// Requires structure_mutex_ held (shared or exclusive): shards_ is
   /// only reallocated under the exclusive lock in configure().
-  Shard& shard_of_(const Key& key) {
-    return *shards_[Hash{}(key) % shards_.size()];
+  Shard& shard_of_(Key key) {
+    return *shards_[std::hash<Key>{}(key) % shards_.size()];
   }
 
   void trim_(Shard& s) {

@@ -6,13 +6,13 @@
 #include <stdexcept>
 
 #include "io/compressed_file.h"
+#include "io/tool_container.h"
 
 namespace pastri::io {
 namespace {
 
-// Container magics, little-endian as the first four file bytes.
+// Raw PaSTRI stream magic, little-endian as the first four file bytes.
 constexpr std::uint32_t kStreamMagic = 0x52545350;  // "PSTR"
-constexpr std::uint32_t kToolMagic = 0x50435354;    // "TSCP"
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary | std::ios::ate);
@@ -30,24 +30,6 @@ std::uint32_t leading_magic(const std::vector<std::uint8_t>& bytes) {
   std::uint32_t m;
   std::memcpy(&m, bytes.data(), 4);
   return m;
-}
-
-/// Byte offset of the PaSTRI stream inside a pastri_tool ("TSCP")
-/// container: magic, label length + label, four 16-bit shape fields.
-std::size_t tool_stream_offset(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < 8) {
-    throw std::runtime_error("BlockStore: truncated tool container");
-  }
-  std::uint32_t label_len;
-  std::memcpy(&label_len, bytes.data() + 4, 4);
-  if (label_len > (1u << 20)) {
-    throw std::runtime_error("BlockStore: corrupt tool container label");
-  }
-  const std::size_t off = 8 + static_cast<std::size_t>(label_len) + 4 * 2;
-  if (off >= bytes.size()) {
-    throw std::runtime_error("BlockStore: truncated tool container");
-  }
-  return off;
 }
 
 }  // namespace
@@ -71,20 +53,17 @@ void BlockStore::add_shard_(std::vector<std::uint8_t>&& bytes,
                             const std::string& what) {
   Shard shard;
   shard.bytes = std::move(bytes);
+  std::span<const std::uint8_t> stream(shard.bytes);
   switch (leading_magic(shard.bytes)) {
     case kToolMagic:
-      shard.stream_offset = tool_stream_offset(shard.bytes);
+      stream = parse_tool_file(stream).stream;
       break;
     case kStreamMagic:
-      shard.stream_offset = 0;
       break;
     default:
       throw std::runtime_error("BlockStore: " + what +
                                " is not a PaSTRI container");
   }
-  const std::span<const std::uint8_t> stream(
-      shard.bytes.data() + shard.stream_offset,
-      shard.bytes.size() - shard.stream_offset);
   shard.reader = std::make_unique<BlockReader>(stream);
   shard.first_block = num_blocks_;
   if (shards_.empty()) {

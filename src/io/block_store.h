@@ -5,8 +5,8 @@
 // A BlockStore opens one of
 //   * a raw PaSTRI container (as written by pastri_stream_* or the C++
 //     StreamWriter -- "PSTR" magic),
-//   * a pastri_tool container ("TSCP" magic; the tool header is
-//     skipped),
+//   * a pastri_tool container ("TSCP" magic, io/tool_container.h; the
+//     tool header is skipped),
 //   * a sharded dataset, when the path is its manifest file
 //     ("<dir>/<basename>.manifest"); shard streams are concatenated in
 //     dataset block order,
@@ -59,7 +59,6 @@ class BlockStore {
  private:
   struct Shard {
     std::vector<std::uint8_t> bytes;    ///< the whole container
-    std::size_t stream_offset = 0;      ///< PaSTRI stream start in bytes
     std::unique_ptr<BlockReader> reader;
     std::size_t first_block = 0;        ///< store-global index of block 0
   };
@@ -73,7 +72,7 @@ class BlockStore {
   StreamInfo info_;
   std::size_t num_blocks_ = 0;
   std::size_t compressed_bytes_ = 0;
-  mutable ShardedBlockCache<std::size_t> cache_;
+  mutable ShardedBlockCache cache_;
 };
 
 }  // namespace pastri::io

@@ -1,21 +1,18 @@
 // store_capi.cpp - The pastri_store_* C API family (declared in
-// core/pastri_capi.h).  Lives in the io library rather than core
-// because a store handle reaches down every layer: io (container and
-// shard files), qc (ERI stores over a basis), and core (readers,
-// sharded cache).  Same contract as the rest of the C API: every entry
+// core/pastri_capi.h) and pastri_eri_dump.  Lives in the io library
+// rather than core because a store handle is an io::BlockStore
+// (container and shard files) and the dump drives the qc pipeline into
+// shard files.  Same contract as the rest of the C API: every entry
 // point returns pastri_status, no exception ever crosses the boundary,
 // failures record a thread-local message for
 // pastri_last_error_message().
 #include <cstring>
-#include <memory>
 
 #include "core/capi_detail.h"
 #include "core/pastri_capi.h"
 #include "io/block_store.h"
-#include "qc/compressed_eri_store.h"
 #include "qc/eri_pipeline.h"
 #include "qc/molecule.h"
-#include "qc/sto3g.h"
 
 namespace {
 
@@ -32,14 +29,9 @@ pastri::CacheConfig to_cpp_cache(const pastri_store_cache_config* cfg) {
 
 }  // namespace
 
-/* Opaque store handle: exactly one backing is non-null. */
-struct pastri_store {
-  std::unique_ptr<pastri::io::BlockStore> file;
-  std::unique_ptr<pastri::qc::CompressedEriStore> eri;
-
-  pastri::CacheStats stats() const {
-    return file ? file->cache_stats() : eri->cache_stats();
-  }
+/* Opaque store handle: one io::BlockStore. */
+struct pastri_store : pastri::io::BlockStore {
+  using BlockStore::BlockStore;
 };
 
 extern "C" {
@@ -57,10 +49,7 @@ pastri_status pastri_store_open(const char* path,
     return fail(PASTRI_ERR_INVALID_ARGUMENT, "null argument");
   }
   try {
-    auto store = std::make_unique<pastri_store>();
-    store->file = std::make_unique<pastri::io::BlockStore>(
-        path, to_cpp_cache(cache));
-    *out = store.release();
+    *out = new pastri_store(path, to_cpp_cache(cache));
     return PASTRI_OK;
   } catch (const std::invalid_argument& e) {
     return fail(PASTRI_ERR_INVALID_ARGUMENT, e.what());
@@ -73,42 +62,12 @@ pastri_status pastri_store_open(const char* path,
   }
 }
 
-pastri_status pastri_store_open_eri(const char* molecule,
-                                    const pastri_params* params,
-                                    const pastri_store_cache_config* cache,
-                                    pastri_store** out) {
-  if (molecule == nullptr || out == nullptr) {
-    return fail(PASTRI_ERR_INVALID_ARGUMENT, "null argument");
-  }
-  try {
-    pastri::Params p;
-    if (params != nullptr) p = pastri::capi::to_cpp_params(*params);
-    const pastri::qc::Molecule mol = pastri::qc::make_molecule(molecule);
-    const pastri::qc::BasisSet basis = pastri::qc::make_sto3g_basis(mol);
-    auto store = std::make_unique<pastri_store>();
-    store->eri =
-        std::make_unique<pastri::qc::CompressedEriStore>(basis, p);
-    store->eri->set_cache(to_cpp_cache(cache));
-    *out = store.release();
-    return PASTRI_OK;
-  } catch (const std::invalid_argument& e) {
-    return fail(PASTRI_ERR_INVALID_ARGUMENT, e.what());
-  } catch (const std::exception& e) {
-    return fail(PASTRI_ERR_INTERNAL, e.what());
-  } catch (...) {
-    return fail(PASTRI_ERR_INTERNAL, "unknown exception");
-  }
-}
-
 pastri_status pastri_store_num_blocks(const pastri_store* store,
                                       size_t* out) {
   if (store == nullptr || out == nullptr) {
     return fail(PASTRI_ERR_INVALID_ARGUMENT, "null argument");
   }
-  *out = store->file ? store->file->num_blocks()
-                     : store->eri->num_shells() * store->eri->num_shells() *
-                           store->eri->num_shells() *
-                           store->eri->num_shells();
+  *out = store->num_blocks();
   return PASTRI_OK;
 }
 
@@ -117,12 +76,7 @@ pastri_status pastri_store_block_size(const pastri_store* store,
   if (store == nullptr || out == nullptr) {
     return fail(PASTRI_ERR_INVALID_ARGUMENT, "null argument");
   }
-  if (!store->file) {
-    return fail(PASTRI_ERR_INVALID_ARGUMENT,
-                "ERI stores have per-quartet block sizes; use "
-                "pastri_store_shell_block");
-  }
-  *out = store->file->block_size();
+  *out = store->block_size();
   return PASTRI_OK;
 }
 
@@ -131,18 +85,14 @@ pastri_status pastri_store_get_block(pastri_store* store, size_t block,
   if (store == nullptr || out == nullptr) {
     return fail(PASTRI_ERR_INVALID_ARGUMENT, "null argument");
   }
-  if (!store->file) {
-    return fail(PASTRI_ERR_INVALID_ARGUMENT,
-                "not a file-backed store; use pastri_store_shell_block");
-  }
   try {
-    if (block >= store->file->num_blocks()) {
+    if (block >= store->num_blocks()) {
       return fail(PASTRI_ERR_INVALID_ARGUMENT, "block index out of range");
     }
-    if (out_capacity < store->file->block_size()) {
+    if (out_capacity < store->block_size()) {
       return fail(PASTRI_ERR_INVALID_ARGUMENT, "output buffer too small");
     }
-    const auto values = store->file->block(block);
+    const auto values = store->block(block);
     std::memcpy(out, values->data(), values->size() * sizeof(double));
     return PASTRI_OK;
   } catch (const std::runtime_error& e) {
@@ -160,52 +110,17 @@ pastri_status pastri_store_get_range(pastri_store* store, size_t first,
   if (store == nullptr || out == nullptr) {
     return fail(PASTRI_ERR_INVALID_ARGUMENT, "null argument");
   }
-  if (!store->file) {
-    return fail(PASTRI_ERR_INVALID_ARGUMENT,
-                "not a file-backed store; use pastri_store_shell_block");
-  }
   try {
-    if (first + count < first ||
-        first + count > store->file->num_blocks()) {
+    if (first + count < first || first + count > store->num_blocks()) {
       return fail(PASTRI_ERR_INVALID_ARGUMENT, "block range out of range");
     }
-    const std::size_t need = count * store->file->block_size();
+    const std::size_t need = count * store->block_size();
     if (out_capacity < need) {
       return fail(PASTRI_ERR_INVALID_ARGUMENT, "output buffer too small");
     }
-    const auto values = store->file->range(first, count);
+    const auto values = store->range(first, count);
     std::memcpy(out, values.data(), values.size() * sizeof(double));
     return PASTRI_OK;
-  } catch (const std::runtime_error& e) {
-    return fail(PASTRI_ERR_CORRUPT_STREAM, e.what());
-  } catch (const std::exception& e) {
-    return fail(PASTRI_ERR_INTERNAL, e.what());
-  } catch (...) {
-    return fail(PASTRI_ERR_INTERNAL, "unknown exception");
-  }
-}
-
-pastri_status pastri_store_shell_block(pastri_store* store, size_t p,
-                                       size_t q, size_t u, size_t v,
-                                       double* out, size_t out_capacity,
-                                       size_t* out_count) {
-  if (store == nullptr || out == nullptr) {
-    return fail(PASTRI_ERR_INVALID_ARGUMENT, "null argument");
-  }
-  if (!store->eri) {
-    return fail(PASTRI_ERR_INVALID_ARGUMENT,
-                "not an ERI store; use pastri_store_get_block");
-  }
-  try {
-    const auto values = store->eri->shell_block(p, q, u, v);
-    if (out_capacity < values->size()) {
-      return fail(PASTRI_ERR_INVALID_ARGUMENT, "output buffer too small");
-    }
-    std::memcpy(out, values->data(), values->size() * sizeof(double));
-    if (out_count != nullptr) *out_count = values->size();
-    return PASTRI_OK;
-  } catch (const std::out_of_range& e) {
-    return fail(PASTRI_ERR_INVALID_ARGUMENT, e.what());
   } catch (const std::runtime_error& e) {
     return fail(PASTRI_ERR_CORRUPT_STREAM, e.what());
   } catch (const std::exception& e) {
@@ -221,9 +136,7 @@ pastri_status pastri_store_set_cache(
     return fail(PASTRI_ERR_INVALID_ARGUMENT, "null argument");
   }
   try {
-    const pastri::CacheConfig cfg = to_cpp_cache(cache);
-    if (store->file) store->file->set_cache(cfg);
-    else store->eri->set_cache(cfg);
+    store->set_cache(to_cpp_cache(cache));
     return PASTRI_OK;
   } catch (const std::exception& e) {
     return fail(PASTRI_ERR_INTERNAL, e.what());
@@ -238,7 +151,7 @@ pastri_status pastri_store_get_cache_stats(const pastri_store* store,
     return fail(PASTRI_ERR_INVALID_ARGUMENT, "null argument");
   }
   try {
-    const pastri::CacheStats st = store->stats();
+    const pastri::CacheStats st = store->cache_stats();
     out->hits = st.hits;
     out->misses = st.misses;
     out->bytes = st.bytes;

@@ -74,7 +74,7 @@ std::shared_ptr<const std::vector<double>> CompressedEriStore::shell_block(
   if (p >= ns || q >= ns || u >= ns || v >= ns) {
     throw std::out_of_range("shell_block: shell quartet out of range");
   }
-  const QuartetKey key{p, q, u, v};
+  const std::size_t key = layout_.quartet_index(p, q, u, v);
   if (auto hit = cache_.lookup(key)) {
     store_metrics().cache_hits.inc();
     return hit;
@@ -84,7 +84,7 @@ std::shared_ptr<const std::vector<double>> CompressedEriStore::shell_block(
   // decode in parallel (BlockReader reads are const and thread-safe);
   // concurrent misses on the *same* quartet both decode but converge on
   // one shared vector through the cache's content dedup.
-  const BlockRef& ref = block_of_[layout_.quartet_index(p, q, u, v)];
+  const BlockRef& ref = block_of_[key];
   std::vector<double> decoded = ref.cls->reader->read_block(ref.ordinal);
   return cache_.insert(key, std::move(decoded));
 }

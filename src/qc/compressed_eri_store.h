@@ -100,21 +100,9 @@ class CompressedEriStore {
     std::unique_ptr<BlockReader> reader;
   };
 
-  using QuartetKey = std::array<std::size_t, 4>;
   struct BlockRef {
     const ClassData* cls = nullptr;
     std::size_t ordinal = 0;  ///< block number within the class stream
-  };
-
-  struct QuartetHash {
-    std::size_t operator()(const QuartetKey& k) const {
-      std::size_t h = 1469598103934665603ull;
-      for (const std::size_t v : k) {
-        h ^= v;
-        h *= 1099511628211ull;
-      }
-      return h;
-    }
   };
 
   ShellLayout layout_;
@@ -123,10 +111,11 @@ class CompressedEriStore {
   std::vector<BlockRef> block_of_;
   std::size_t uncompressed_bytes_ = 0;
 
-  /// Sharded LRU of decoded quartet blocks with content dedup (see
+  /// Sharded LRU of decoded quartet blocks keyed by
+  /// layout_.quartet_index, with content dedup (see
   /// core/sharded_cache.h); block_of_/streams_ are immutable after
   /// construction, so shell_block takes no other lock.
-  mutable ShardedBlockCache<QuartetKey, QuartetHash> cache_;
+  mutable ShardedBlockCache cache_;
 };
 
 }  // namespace pastri::qc

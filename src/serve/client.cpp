@@ -146,25 +146,6 @@ StoreInfo Client::open_store(const std::string& path,
   return info;
 }
 
-StoreInfo Client::open_eri(const std::string& molecule, double error_bound,
-                           std::size_t cache_blocks,
-                           std::size_t cache_shards) {
-  WireWriter w;
-  w.u8(1);
-  w.u64(cache_blocks);
-  w.u32(static_cast<std::uint32_t>(cache_shards));
-  w.f64(error_bound);
-  w.str(molecule);
-  const auto body =
-      call_(static_cast<std::uint8_t>(Opcode::kOpenStore), w.data());
-  WireReader r(body);
-  StoreInfo info;
-  info.id = r.u32();
-  info.num_blocks = r.u64();
-  info.block_size = r.u64();
-  return info;
-}
-
 std::vector<double> Client::get_block(std::uint32_t store,
                                       std::uint64_t block) {
   WireWriter w;
@@ -183,19 +164,6 @@ std::vector<double> Client::get_range(std::uint32_t store,
   w.u64(count);
   return values_response_(
       call_(static_cast<std::uint8_t>(Opcode::kGetRange), w.data()));
-}
-
-std::vector<double> Client::shell_block(std::uint32_t store,
-                                        std::uint32_t p, std::uint32_t q,
-                                        std::uint32_t u, std::uint32_t v) {
-  WireWriter w;
-  w.u32(store);
-  w.u32(p);
-  w.u32(q);
-  w.u32(u);
-  w.u32(v);
-  return values_response_(
-      call_(static_cast<std::uint8_t>(Opcode::kShellBlock), w.data()));
 }
 
 CacheStats Client::stats(std::uint32_t store) {

@@ -31,7 +31,7 @@ struct RpcError : std::runtime_error {
 struct StoreInfo {
   std::uint32_t id = 0;
   std::uint64_t num_blocks = 0;
-  std::uint64_t block_size = 0;  ///< 0 for ERI stores
+  std::uint64_t block_size = 0;
 };
 
 struct PutResult {
@@ -52,15 +52,9 @@ class Client {
   StoreInfo open_store(const std::string& path,
                        std::size_t cache_blocks = 0,
                        std::size_t cache_shards = 0);
-  StoreInfo open_eri(const std::string& molecule, double error_bound = 0.0,
-                     std::size_t cache_blocks = 0,
-                     std::size_t cache_shards = 0);
   std::vector<double> get_block(std::uint32_t store, std::uint64_t block);
   std::vector<double> get_range(std::uint32_t store, std::uint64_t first,
                                 std::uint64_t count);
-  std::vector<double> shell_block(std::uint32_t store, std::uint32_t p,
-                                  std::uint32_t q, std::uint32_t u,
-                                  std::uint32_t v);
   CacheStats stats(std::uint32_t store);
   std::uint32_t put_open(const std::string& path,
                          std::uint16_t num_sub_blocks,

@@ -28,18 +28,18 @@
 //
 // Request payloads / response bodies per opcode:
 //
-//   OPEN_STORE   u8 kind (0 = container/manifest path, 1 = ERI molecule
-//                name), u64 cache_capacity_blocks, u32 cache_shards,
-//                f64 error_bound (kind 1 only; <= 0 = default),
-//                u16 name_len, name bytes
-//             -> u32 store_id, u64 num_blocks, u64 block_size (0 for
-//                ERI stores, whose blocks are per-quartet sized)
+//   OPEN_STORE   u8 kind (must be 0: container or manifest path; any
+//                other kind answers PASTRI_ERR_INVALID_ARGUMENT),
+//                u64 cache_capacity_blocks, u32 cache_shards,
+//                f64 error_bound (unused, kept for wire compatibility),
+//                u16 name_len, name bytes (the path)
+//             -> u32 store_id, u64 num_blocks, u64 block_size
 //   GET_BLOCK    u32 store_id, u64 block
 //             -> u64 count, f64 values[count]
 //   GET_RANGE    u32 store_id, u64 first, u64 count
 //             -> u64 count, f64 values[count]
-//   SHELL_BLOCK  u32 store_id, u32 p, u32 q, u32 u, u32 v
-//             -> u64 count, f64 values[count]
+//   0x04         reserved (answers PASTRI_ERR_INVALID_ARGUMENT, like any
+//                unknown opcode)
 //   STATS        u32 store_id
 //             -> u64 hits, u64 misses, u64 bytes, u64 unique_blocks
 //   PUT_OPEN     u16 num_sub_blocks, u16 sub_block_size,
@@ -75,7 +75,7 @@ enum class Opcode : std::uint8_t {
   kOpenStore = 0x01,
   kGetBlock = 0x02,
   kGetRange = 0x03,
-  kShellBlock = 0x04,
+  // 0x04 is reserved: no opcode may reuse it.
   kStats = 0x05,
   kPutOpen = 0x06,
   kPutChunk = 0x07,

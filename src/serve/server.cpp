@@ -27,9 +27,6 @@
 #include "obs/export.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "qc/compressed_eri_store.h"
-#include "qc/molecule.h"
-#include "qc/sto3g.h"
 #include "serve/protocol.h"
 
 namespace pastri::serve {
@@ -53,13 +50,6 @@ ServeMetrics& metrics() {
   static ServeMetrics m;
   return m;
 }
-
-/// A registered store: exactly one backing is non-null (same shape as
-/// the pastri_store C handle, but shared across connections).
-struct StoreEntry {
-  std::unique_ptr<io::BlockStore> file;
-  std::unique_ptr<qc::CompressedEriStore> eri;
-};
 
 /// Thrown by request handlers to produce a non-OK response frame.
 struct RequestError : std::runtime_error {
@@ -187,11 +177,11 @@ struct Server::Impl {
   std::condition_variable conn_cv;
   std::deque<int> conn_queue;
 
-  // Server-wide store registry, deduplicated by (kind, name) so every
-  // client of the same container shares one sharded cache.
+  // Server-wide store registry, deduplicated by path so every client of
+  // the same container shares one sharded cache.
   std::mutex store_mu;
   std::map<std::string, std::uint32_t> store_ids;
-  std::vector<std::shared_ptr<StoreEntry>> stores;
+  std::vector<std::shared_ptr<io::BlockStore>> stores;
   std::atomic<std::size_t> active_connections{0};
 
   // ---- socket helpers --------------------------------------------------
@@ -259,7 +249,7 @@ struct Server::Impl {
 
   // ---- store registry --------------------------------------------------
 
-  std::shared_ptr<StoreEntry> store(std::uint32_t id) {
+  std::shared_ptr<io::BlockStore> store(std::uint32_t id) {
     std::lock_guard<std::mutex> lock(store_mu);
     if (id >= stores.size() || !stores[id]) {
       throw RequestError(PASTRI_ERR_INVALID_ARGUMENT, "unknown store id");
@@ -267,27 +257,27 @@ struct Server::Impl {
     return stores[id];
   }
 
-  std::uint32_t register_store(const std::string& key,
-                               std::shared_ptr<StoreEntry> entry) {
+  std::uint32_t register_store(const std::string& path,
+                               std::shared_ptr<io::BlockStore> opened) {
     std::lock_guard<std::mutex> lock(store_mu);
-    if (auto it = store_ids.find(key); it != store_ids.end()) {
+    if (auto it = store_ids.find(path); it != store_ids.end()) {
       return it->second;
     }
     if (stores.size() >= config.max_open_stores) {
       throw RequestError(PASTRI_ERR_BUSY, "open store cap reached");
     }
     const auto id = static_cast<std::uint32_t>(stores.size());
-    stores.push_back(std::move(entry));
-    store_ids.emplace(key, id);
+    stores.push_back(std::move(opened));
+    store_ids.emplace(path, id);
     metrics().open_stores.set(static_cast<double>(stores.size()));
     return id;
   }
 
-  /// Look up an existing store by registry key without creating one.
-  std::shared_ptr<StoreEntry> find_store(const std::string& key,
-                                         std::uint32_t* id) {
+  /// Look up an existing store by path without opening one.
+  std::shared_ptr<io::BlockStore> find_store(const std::string& path,
+                                             std::uint32_t* id) {
     std::lock_guard<std::mutex> lock(store_mu);
-    if (auto it = store_ids.find(key); it != store_ids.end()) {
+    if (auto it = store_ids.find(path); it != store_ids.end()) {
       *id = it->second;
       return stores[it->second];
     }
@@ -300,16 +290,13 @@ struct Server::Impl {
     const std::uint8_t kind = req.u8();
     const std::uint64_t cache_blocks = req.u64();
     const std::uint32_t cache_shards = req.u32();
-    const double error_bound = req.f64();
-    const std::string name = req.str();
+    (void)req.f64();  // error_bound: kept in the wire layout, unused
+    const std::string path = req.str();
     req.expect_end();
-    if (kind > 1) {
+    if (kind != 0) {
       throw RequestError(PASTRI_ERR_INVALID_ARGUMENT,
                          "unknown store kind");
     }
-    const std::string key =
-        (kind == 0 ? "file:" : "eri:" + std::to_string(error_bound) + ":") +
-        name;
     CacheConfig cache = config.default_cache;
     if (cache_blocks != 0) {
       cache.capacity_blocks = static_cast<std::size_t>(cache_blocks);
@@ -317,39 +304,22 @@ struct Server::Impl {
     }
 
     std::uint32_t id = 0;
-    std::shared_ptr<StoreEntry> entry = find_store(key, &id);
-    if (!entry) {
-      entry = std::make_shared<StoreEntry>();
+    std::shared_ptr<io::BlockStore> opened = find_store(path, &id);
+    if (!opened) {
       try {
-        if (kind == 0) {
-          entry->file = std::make_unique<io::BlockStore>(name, cache);
-        } else {
-          Params params;
-          if (error_bound > 0.0) params.error_bound = error_bound;
-          const qc::Molecule mol = qc::make_molecule(name);
-          const qc::BasisSet basis = qc::make_sto3g_basis(mol);
-          entry->eri =
-              std::make_unique<qc::CompressedEriStore>(basis, params);
-          entry->eri->set_cache(cache);
-        }
+        opened = std::make_shared<io::BlockStore>(path, cache);
       } catch (const std::invalid_argument& e) {
         throw RequestError(PASTRI_ERR_INVALID_ARGUMENT, e.what());
       } catch (const std::runtime_error& e) {
         throw RequestError(PASTRI_ERR_CORRUPT_STREAM, e.what());
       }
-      id = register_store(key, entry);
+      id = register_store(path, opened);
     }
 
     WireWriter out;
     out.u32(id);
-    if (entry->file) {
-      out.u64(entry->file->num_blocks());
-      out.u64(entry->file->block_size());
-    } else {
-      const std::uint64_t n = entry->eri->num_shells();
-      out.u64(n * n * n * n);
-      out.u64(0);
-    }
+    out.u64(opened->num_blocks());
+    out.u64(opened->block_size());
     return out.take();
   }
 
@@ -357,14 +327,10 @@ struct Server::Impl {
     const std::uint32_t id = req.u32();
     const std::uint64_t block = req.u64();
     req.expect_end();
-    const auto entry = store(id);
-    if (!entry->file) {
-      throw RequestError(PASTRI_ERR_INVALID_ARGUMENT,
-                         "not a file-backed store");
-    }
+    const auto blocks = store(id);
     std::shared_ptr<const std::vector<double>> values;
     try {
-      values = entry->file->block(static_cast<std::size_t>(block));
+      values = blocks->block(static_cast<std::size_t>(block));
     } catch (const std::out_of_range& e) {
       throw RequestError(PASTRI_ERR_INVALID_ARGUMENT, e.what());
     } catch (const std::runtime_error& e) {
@@ -381,21 +347,16 @@ struct Server::Impl {
     const std::uint64_t first = req.u64();
     const std::uint64_t count = req.u64();
     req.expect_end();
-    const auto entry = store(id);
-    if (!entry->file) {
-      throw RequestError(PASTRI_ERR_INVALID_ARGUMENT,
-                         "not a file-backed store");
-    }
-    const std::uint64_t block_bytes =
-        entry->file->block_size() * sizeof(double);
+    const auto blocks = store(id);
+    const std::uint64_t block_bytes = blocks->block_size() * sizeof(double);
     if (block_bytes == 0 || count > kMaxFrameBytes / block_bytes) {
       throw RequestError(PASTRI_ERR_INVALID_ARGUMENT,
                          "range larger than the frame cap");
     }
     std::vector<double> values;
     try {
-      values = entry->file->range(static_cast<std::size_t>(first),
-                                  static_cast<std::size_t>(count));
+      values = blocks->range(static_cast<std::size_t>(first),
+                             static_cast<std::size_t>(count));
     } catch (const std::out_of_range& e) {
       throw RequestError(PASTRI_ERR_INVALID_ARGUMENT, e.what());
     } catch (const std::runtime_error& e) {
@@ -407,37 +368,10 @@ struct Server::Impl {
     return out.take();
   }
 
-  std::vector<std::uint8_t> handle_shell_block(WireReader& req) {
-    const std::uint32_t id = req.u32();
-    const std::uint32_t p = req.u32();
-    const std::uint32_t q = req.u32();
-    const std::uint32_t u = req.u32();
-    const std::uint32_t v = req.u32();
-    req.expect_end();
-    const auto entry = store(id);
-    if (!entry->eri) {
-      throw RequestError(PASTRI_ERR_INVALID_ARGUMENT, "not an ERI store");
-    }
-    std::shared_ptr<const std::vector<double>> values;
-    try {
-      values = entry->eri->shell_block(p, q, u, v);
-    } catch (const std::out_of_range& e) {
-      throw RequestError(PASTRI_ERR_INVALID_ARGUMENT, e.what());
-    } catch (const std::invalid_argument& e) {
-      throw RequestError(PASTRI_ERR_INVALID_ARGUMENT, e.what());
-    }
-    WireWriter out;
-    out.u64(values->size());
-    out.bytes(values->data(), values->size() * sizeof(double));
-    return out.take();
-  }
-
   std::vector<std::uint8_t> handle_stats(WireReader& req) {
     const std::uint32_t id = req.u32();
     req.expect_end();
-    const auto entry = store(id);
-    const CacheStats st =
-        entry->file ? entry->file->cache_stats() : entry->eri->cache_stats();
+    const CacheStats st = store(id)->cache_stats();
     WireWriter out;
     out.u64(st.hits);
     out.u64(st.misses);
@@ -551,7 +485,6 @@ struct Server::Impl {
         case Opcode::kOpenStore: body = handle_open_store(req); break;
         case Opcode::kGetBlock: body = handle_get_block(req); break;
         case Opcode::kGetRange: body = handle_get_range(req); break;
-        case Opcode::kShellBlock: body = handle_shell_block(req); break;
         case Opcode::kStats: body = handle_stats(req); break;
         case Opcode::kPutOpen: body = handle_put_open(conn, req); break;
         case Opcode::kPutChunk: body = handle_put_chunk(conn, req); break;

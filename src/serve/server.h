@@ -13,8 +13,8 @@
 //     a full accept queue answers PASTRI_ERR_BUSY and closes, as do
 //     store registry overflow and per-connection PUT session caps.
 //
-// Stores are registered server-wide and deduplicated by (kind, name):
-// every client reading the same container shares one BlockStore and
+// Stores are registered server-wide and deduplicated by path: every
+// client reading the same container shares one BlockStore and
 // therefore one mutex-striped cache (core/sharded_cache.h) -- warm hits
 // from different workers contend only on their key's shard, and cold
 // misses decode outside any lock.  GET_RANGE batches into the

@@ -1,7 +1,10 @@
 // Tests for the compressed ERI store (the Fig. 11 infrastructure).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "qc/compressed_eri_store.h"
 #include "qc/sto3g.h"
@@ -154,6 +157,74 @@ TEST(CompressedEriStore, CoarserBoundSmallerStore) {
   coarse.error_bound = 1e-8;
   EXPECT_LT(CompressedEriStore(basis, coarse).compressed_bytes(),
             CompressedEriStore(basis, fine).compressed_bytes());
+}
+
+TEST(CompressedEriStore, CacheConfigStructs) {
+  const BasisSet basis = make_sto3g_basis(h2o_molecule());
+  Params params;
+  CompressedEriStore store(basis, params);
+  store.set_cache(CacheConfig{16, 4});
+  EXPECT_EQ(store.cache_config().capacity_blocks, 16u);
+  EXPECT_EQ(store.cache_config().num_shards, 4u);
+
+  (void)store.shell_block(0, 0, 0, 0);
+  (void)store.shell_block(0, 0, 0, 0);
+  const CacheStats stats = store.cache_stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.unique_blocks, 1u);
+  EXPECT_GT(stats.bytes, 0u);
+
+  // Reading the stats is not a cache access: a second read agrees.
+  const CacheStats again = store.cache_stats();
+  EXPECT_EQ(again.hits, stats.hits);
+  EXPECT_EQ(again.misses, stats.misses);
+  EXPECT_EQ(again.bytes, stats.bytes);
+  EXPECT_EQ(again.unique_blocks, stats.unique_blocks);
+
+  // Shard counts are clamped to the capacity (a 1-block cache cannot
+  // stripe 8 ways without losing exact LRU accounting).
+  store.set_cache(CacheConfig{2, 64});
+  EXPECT_LE(store.cache_config().num_shards, 2u);
+}
+
+TEST(CompressedEriStore, ShellBlockConcurrentStress) {
+  const BasisSet basis = make_sto3g_basis(h2o_molecule());
+  Params params;
+  params.error_bound = 1e-10;
+  const CompressedEriStore ref(basis, params);
+  CompressedEriStore store(basis, params);
+  store.set_cache(CacheConfig{8, 4});  // small: force eviction races
+
+  const std::size_t ns = store.num_shells();
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kIters = 300;
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::uint64_t rng = 0xDEADBEEF + t;
+      for (std::size_t it = 0; it < kIters; ++it) {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        const std::size_t a = (rng >> 12) % ns;
+        const std::size_t b = (rng >> 24) % ns;
+        const std::size_t c = (rng >> 36) % ns;
+        const std::size_t d = (rng >> 48) % ns;
+        const auto got = store.shell_block(a, b, c, d);
+        const auto want = ref.shell_block(a, b, c, d);
+        if (*got != *want) ++mismatches;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+
+  // Exact accounting: every lookup is exactly one hit or one miss,
+  // even under contention and eviction.
+  const CacheStats stats = store.cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kIters);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_LE(stats.unique_blocks, 8u);
 }
 
 }  // namespace

@@ -220,12 +220,7 @@ std::vector<std::uint8_t> slurp(const std::string& path) {
 class EriPipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = (std::filesystem::temp_directory_path() /
-            (std::string("pastri_pipe_") + info->name()))
-               .string();
-    std::filesystem::create_directories(dir_);
+    dir_ = testutil::per_test_dir("pastri_pipe");
     mol_ = qc::make_molecule("benzene");
     opt_.config = qc::parse_config("(dd|dd)");
     opt_.max_blocks = 24;

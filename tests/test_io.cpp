@@ -5,6 +5,7 @@
 
 #include "io/file_per_process.h"
 #include "io/pfs_model.h"
+#include "test_util.h"
 
 namespace pastri::io {
 namespace {
@@ -80,11 +81,7 @@ TEST(PfsModel, RawIoDominatesCompressed) {
 
 class FppTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() / "pastri_fpp_test")
-               .string();
-    std::filesystem::create_directories(dir_);
-  }
+  void SetUp() override { dir_ = testutil::per_test_dir("pastri_fpp"); }
   void TearDown() override {
     std::error_code ec;
     std::filesystem::remove_all(dir_, ec);

@@ -10,8 +10,10 @@
 #include <sstream>
 
 #include "compressors/rpp/rpp.h"
+#include "core/pastri_capi.h"
 #include "io/compressed_file.h"
 #include "io/file_per_process.h"
+#include "io/tool_container.h"
 #include "test_util.h"
 
 namespace pastri {
@@ -64,15 +66,7 @@ TEST(Rpp, Rejections) {
 
 class CompressedFileTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Unique per test: the suite must survive parallel ctest runs.
-    const auto* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = (std::filesystem::temp_directory_path() /
-            (std::string("pastri_cfile_") + info->name()))
-               .string();
-    std::filesystem::create_directories(dir_);
-  }
+  void SetUp() override { dir_ = testutil::per_test_dir("pastri_cfile"); }
   void TearDown() override {
     std::error_code ec;
     std::filesystem::remove_all(dir_, ec);
@@ -320,6 +314,63 @@ TEST_F(CompressedFileTest, ShardedDatasetWriterEnforcesDeclaredCount) {
     w.put_block(ds.block(0));
     EXPECT_THROW(w.finish(), std::runtime_error);
   }
+}
+
+// A pastri_tool ("TSCP") container opens through the store C API, and
+// a malformed tool header is a corrupt stream, not a crash.
+TEST_F(CompressedFileTest, ToolContainerOpensThroughStore) {
+  const auto& ds = testutil::small_eri_dataset();
+  const BlockSpec spec{ds.shape.num_sub_blocks(), ds.shape.sub_block_size()};
+  Params p;
+  const std::vector<std::uint8_t> stream = compress(ds.values, spec, p);
+  const auto write_tool_file = [&](const std::string& name,
+                                   std::size_t keep_bytes) {
+    std::ostringstream os;
+    io::write_tool_header(os, {ds.label, ds.shape});
+    os.write(reinterpret_cast<const char*>(stream.data()),
+             static_cast<std::streamsize>(stream.size()));
+    const std::string bytes = os.str().substr(0, keep_bytes);
+    const std::string path = dir_ + "/" + name;
+    std::ofstream(path, std::ios::binary) << bytes;
+    return path;
+  };
+
+  const std::string whole = write_tool_file("whole.pastri", std::string::npos);
+  pastri_store* store = nullptr;
+  ASSERT_EQ(pastri_store_open(whole.c_str(), nullptr, &store), PASTRI_OK);
+  std::size_t num_blocks = 0, block_size = 0;
+  ASSERT_EQ(pastri_store_num_blocks(store, &num_blocks), PASTRI_OK);
+  ASSERT_EQ(pastri_store_block_size(store, &block_size), PASTRI_OK);
+  EXPECT_EQ(num_blocks, ds.num_blocks);
+  EXPECT_EQ(block_size, ds.shape.block_size());
+  const BlockReader reader(stream);
+  std::vector<double> out(block_size);
+  for (std::size_t b : {std::size_t{0}, std::size_t{17}, num_blocks - 1}) {
+    ASSERT_EQ(pastri_store_get_block(store, b, out.data(), out.size()),
+              PASTRI_OK);
+    EXPECT_EQ(out, reader.read_block(b)) << "block " << b;
+    EXPECT_LE(max_abs_diff(out, ds.block(b)), p.error_bound);
+  }
+  pastri_store_close(store);
+
+  // Cut inside the label (8 bytes of magic and length, then 3 of the
+  // label).
+  ASSERT_GT(ds.label.size(), 3u);
+  const std::string cut = write_tool_file("cut.pastri", 8 + 3);
+  EXPECT_EQ(pastri_store_open(cut.c_str(), nullptr, &store),
+            PASTRI_ERR_CORRUPT_STREAM);
+
+  // A label length over 1 MiB.
+  const std::string huge = dir_ + "/huge.pastri";
+  {
+    std::ofstream f(huge, std::ios::binary);
+    const std::uint32_t header[2] = {io::kToolMagic, (1u << 20) + 1};
+    f.write(reinterpret_cast<const char*>(header), sizeof(header));
+    f.write(reinterpret_cast<const char*>(stream.data()),
+            static_cast<std::streamsize>(stream.size()));
+  }
+  EXPECT_EQ(pastri_store_open(huge.c_str(), nullptr, &store),
+            PASTRI_ERR_CORRUPT_STREAM);
 }
 
 TEST_F(CompressedFileTest, MissingManifestThrows) {

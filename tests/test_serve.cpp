@@ -1,6 +1,6 @@
 // Tests for the service layer: the pastri_store_* C API, the
 // pastri_serve daemon (binary protocol + HTTP /metrics), admission
-// control, and the sharded ERI block cache under concurrency.
+// control, and the BlockStore cache under concurrency.
 //
 // Every network test binds 127.0.0.1:0 (ephemeral port) so parallel
 // ctest runs never collide.
@@ -23,25 +23,17 @@
 #include "core/pastri_capi.h"
 #include "core/stream.h"
 #include "io/block_store.h"
-#include "qc/compressed_eri_store.h"
-#include "qc/sto3g.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "test_util.h"
 
 namespace pastri {
 namespace {
 
 class Serve : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const auto* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = (std::filesystem::temp_directory_path() /
-            (std::string("pastri_serve_") + info->name()))
-               .string();
-    std::filesystem::create_directories(dir_);
-  }
+  void SetUp() override { dir_ = testutil::per_test_dir("pastri_serve"); }
   void TearDown() override {
     std::error_code ec;
     std::filesystem::remove_all(dir_, ec);
@@ -76,15 +68,6 @@ class Serve : public ::testing::Test {
 
   std::string dir_;
 };
-
-qc::Molecule water() {
-  qc::Molecule m;
-  m.name = "H2O";
-  m.atoms = {{"O", 8, {0, 0, 0}},
-             {"H", 1, {0, 1.4305, 1.1093}},
-             {"H", 1, {0, -1.4305, 1.1093}}};
-  return m;
-}
 
 // ---- pastri_store_* C API ------------------------------------------------
 
@@ -160,84 +143,49 @@ TEST_F(Serve, StoreCApiStatusDiscipline) {
             PASTRI_ERR_INVALID_ARGUMENT);
   EXPECT_EQ(pastri_store_get_block(store, 0, nullptr, 64),
             PASTRI_ERR_INVALID_ARGUMENT);
-  std::size_t count = 0;
-  EXPECT_EQ(
-      pastri_store_shell_block(store, 0, 0, 0, 0, out.data(), 64, &count),
-      PASTRI_ERR_INVALID_ARGUMENT);  // not an ERI store
   EXPECT_NE(pastri_last_error_message(), nullptr);
   pastri_store_close(store);
   pastri_store_close(nullptr);  // must be a no-op
 }
 
-TEST_F(Serve, StoreCApiEri) {
-  pastri_store* store = nullptr;
+TEST_F(Serve, StoreCApiCacheConfig) {
   pastri_store_cache_config cache;
   pastri_store_cache_config_init(&cache);
   EXPECT_EQ(cache.capacity_blocks, 1024u);
   EXPECT_EQ(cache.num_shards, 8u);
-  ASSERT_EQ(pastri_store_open_eri("benzene", nullptr, &cache, &store),
-            PASTRI_OK);
 
-  // Cross-check a few quartets against the C++ store.
-  const qc::BasisSet basis =
-      qc::make_sto3g_basis(qc::make_molecule("benzene"));
-  Params params;
-  const qc::CompressedEriStore ref(basis, params);
-  std::vector<double> out(4096);
-  for (const auto& quartet :
-       {std::array<std::size_t, 4>{0, 0, 0, 0},
-        std::array<std::size_t, 4>{1, 2, 3, 4},
-        std::array<std::size_t, 4>{5, 5, 2, 2}}) {
-    std::size_t count = 0;
-    ASSERT_EQ(pastri_store_shell_block(store, quartet[0], quartet[1],
-                                       quartet[2], quartet[3], out.data(),
-                                       out.size(), &count),
+  const std::string path = write_container(4);
+  pastri_store* store = nullptr;
+  ASSERT_EQ(pastri_store_open(path.c_str(), &cache, &store), PASTRI_OK);
+  std::vector<double> out(64);
+  pastri_store_cache_stats stats;
+  for (std::size_t b : {0, 0}) {
+    ASSERT_EQ(pastri_store_get_block(store, b, out.data(), out.size()),
               PASTRI_OK);
-    const auto expect =
-        ref.shell_block(quartet[0], quartet[1], quartet[2], quartet[3]);
-    ASSERT_EQ(count, expect->size());
-    for (std::size_t i = 0; i < count; ++i) {
-      EXPECT_EQ(out[i], (*expect)[i]);
-    }
   }
-  std::size_t count = 0;
-  EXPECT_EQ(pastri_store_shell_block(store, 9999, 0, 0, 0, out.data(),
-                                     out.size(), &count),
-            PASTRI_ERR_INVALID_ARGUMENT);
-
-  EXPECT_EQ(pastri_store_open_eri("no-such-molecule", nullptr, nullptr,
-                                  &store),
-            PASTRI_ERR_INVALID_ARGUMENT);
-  pastri_store_close(store);
-}
-
-TEST_F(Serve, CacheConfigStructs) {
-  const qc::BasisSet basis = qc::make_sto3g_basis(water());
-  Params params;
-  qc::CompressedEriStore store(basis, params);
-  store.set_cache(CacheConfig{16, 4});
-  EXPECT_EQ(store.cache_config().capacity_blocks, 16u);
-  EXPECT_EQ(store.cache_config().num_shards, 4u);
-
-  (void)store.shell_block(0, 0, 0, 0);
-  (void)store.shell_block(0, 0, 0, 0);
-  const CacheStats stats = store.cache_stats();
+  ASSERT_EQ(pastri_store_get_cache_stats(store, &stats), PASTRI_OK);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
+
+  // Shrink to one block: the counters persist, and block 0 is evicted
+  // by block 1 before it is read again.
+  cache.capacity_blocks = 1;
+  ASSERT_EQ(pastri_store_set_cache(store, &cache), PASTRI_OK);
+  ASSERT_EQ(pastri_store_get_cache_stats(store, &stats), PASTRI_OK);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  for (std::size_t b : {0, 1, 0}) {
+    ASSERT_EQ(pastri_store_get_block(store, b, out.data(), out.size()),
+              PASTRI_OK);
+  }
+  ASSERT_EQ(pastri_store_get_cache_stats(store, &stats), PASTRI_OK);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 4u);
   EXPECT_EQ(stats.unique_blocks, 1u);
-  EXPECT_GT(stats.bytes, 0u);
 
-  // Reading the stats is not a cache access: a second read agrees.
-  const CacheStats again = store.cache_stats();
-  EXPECT_EQ(again.hits, stats.hits);
-  EXPECT_EQ(again.misses, stats.misses);
-  EXPECT_EQ(again.bytes, stats.bytes);
-  EXPECT_EQ(again.unique_blocks, stats.unique_blocks);
-
-  // Shard counts are clamped to the capacity (a 1-block cache cannot
-  // stripe 8 ways without losing exact LRU accounting).
-  store.set_cache(CacheConfig{2, 64});
-  EXPECT_LE(store.cache_config().num_shards, 2u);
+  EXPECT_EQ(pastri_store_set_cache(store, nullptr),
+            PASTRI_ERR_INVALID_ARGUMENT);
+  pastri_store_close(store);
 }
 
 // ---- daemon: protocol round trips ---------------------------------------
@@ -314,20 +262,6 @@ TEST_F(Serve, PutStreamRoundTrip) {
   server.stop();
 }
 
-TEST_F(Serve, EriOverProtocol) {
-  serve::Server server;
-  server.start();
-  serve::Client client("127.0.0.1", server.port());
-  const serve::StoreInfo info = client.open_eri("benzene");
-  EXPECT_EQ(info.block_size, 0u);
-  const std::vector<double> blk = client.shell_block(info.id, 0, 0, 0, 0);
-  EXPECT_FALSE(blk.empty());
-  EXPECT_THROW(client.shell_block(info.id, 9999, 0, 0, 0),
-               serve::RpcError);
-  EXPECT_THROW(client.open_eri("no-such-molecule"), serve::RpcError);
-  server.stop();
-}
-
 // ---- daemon: robustness and admission control ---------------------------
 
 TEST_F(Serve, MalformedFramesDontCrash) {
@@ -358,6 +292,23 @@ TEST_F(Serve, MalformedFramesDontCrash) {
   w.u64(0);
   EXPECT_EQ(client.raw_frame(0x02, w.data()).first,
             PASTRI_ERR_INVALID_ARGUMENT);
+  // Retired paths: OPEN_STORE kind 1 (compute an ERI store on open) and
+  // opcode 0x04 (its shell-block read) answer at once, without computing.
+  serve::WireWriter eri;
+  eri.u8(1);
+  eri.u64(0);
+  eri.u32(0);
+  eri.f64(0.0);
+  eri.str("benzene");
+  EXPECT_EQ(client.raw_frame(0x01, eri.data()).first,
+            PASTRI_ERR_INVALID_ARGUMENT);
+  serve::WireWriter quartet;
+  quartet.u32(info.id);
+  for (int i = 0; i < 4; ++i) quartet.u32(0);
+  ASSERT_EQ(quartet.data().size(), 20u);
+  EXPECT_EQ(client.raw_frame(0x04, quartet.data()).first,
+            PASTRI_ERR_INVALID_ARGUMENT);
+  client.ping();
   // Deterministic pseudo-random fuzz payloads.
   std::uint64_t rng = 0x9E3779B97F4A7C15ull;
   for (int round = 0; round < 64; ++round) {
@@ -522,47 +473,6 @@ TEST_F(Serve, HttpMetricsEndpoint) {
       serve::Client::http_get("127.0.0.1", server.port(), "/nope");
   EXPECT_NE(missing.find("404"), std::string::npos);
   server.stop();
-}
-
-// ---- sharded ERI cache under concurrency ---------------------------------
-
-TEST_F(Serve, ShellBlockConcurrentStress) {
-  const qc::BasisSet basis = qc::make_sto3g_basis(water());
-  Params params;
-  params.error_bound = 1e-10;
-  const qc::CompressedEriStore ref(basis, params);
-  qc::CompressedEriStore store(basis, params);
-  store.set_cache(CacheConfig{8, 4});  // small: force eviction races
-
-  const std::size_t ns = store.num_shells();
-  constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kIters = 300;
-  std::atomic<std::size_t> mismatches{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::uint64_t rng = 0xDEADBEEF + t;
-      for (std::size_t it = 0; it < kIters; ++it) {
-        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-        const std::size_t a = (rng >> 12) % ns;
-        const std::size_t b = (rng >> 24) % ns;
-        const std::size_t c = (rng >> 36) % ns;
-        const std::size_t d = (rng >> 48) % ns;
-        const auto got = store.shell_block(a, b, c, d);
-        const auto want = ref.shell_block(a, b, c, d);
-        if (*got != *want) ++mismatches;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0u);
-
-  // Exact accounting: every lookup is exactly one hit or one miss,
-  // even under contention and eviction.
-  const CacheStats stats = store.cache_stats();
-  EXPECT_EQ(stats.hits + stats.misses, kThreads * kIters);
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_LE(stats.unique_blocks, 8u);
 }
 
 TEST_F(Serve, BlockStoreConcurrentReaders) {

@@ -1,9 +1,13 @@
 // test_util.h - Shared fixtures and data factories for the test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cmath>
+#include <filesystem>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/block_spec.h"
@@ -15,6 +19,18 @@ namespace pastri::testutil {
 /// Deterministic RNG for reproducible tests.
 inline std::mt19937_64 rng(std::uint64_t seed = 0xC0FFEE) {
   return std::mt19937_64(seed);
+}
+
+/// A fresh directory for the running test, `<tmp>/<prefix>_<test name>`,
+/// created on the spot (the fixture's TearDown removes it).  One
+/// directory per test keeps parallel ctest processes, which run the
+/// tests of one fixture at the same time, out of each other's files.
+inline std::string per_test_dir(const std::string& prefix) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / (prefix + "_" + info->name());
+  std::filesystem::create_directories(dir);
+  return dir.string();
 }
 
 /// Uniform random doubles in [lo, hi].
