@@ -1,5 +1,5 @@
 // bench_eri_kernels.cpp - The ERI compute stage before/after the
-// shell-pair cache, plus the Boys fast path and the multi-producer dump.
+// shell-pair cache, plus the Boys fast path.
 //
 //   1. Quartets/s with the original per-quartet engine (rebuild the
 //      Hermite term lists and the HermiteR tensor for every block --
@@ -12,28 +12,21 @@
 //      Taylor fast path, with the max absolute deviation over a dense
 //      off-grid T sweep at every order on the record.
 //
-//   3. dump_eri_sharded with 1, 2, and 4 compute producers, shard files
-//      byte-compared against the single-producer dump.  On a single
-//      core the producer count cannot buy wall time (reported
-//      honestly); byte identity is the load-bearing result.
-//
 // Emits BENCH_eri_kernels.json at the repo root; --smoke shrinks the
-// run for CI and skips the artifact.  Exits nonzero if any bitwise or
-// byte-identity check fails.
+// run for CI and skips the artifact.  Exits nonzero if any bitwise
+// check fails.
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <numbers>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "qc/basis.h"
-#include "qc/eri_pipeline.h"
 #include "qc/md_eri.h"
+#include "qc/molecule.h"
 
 namespace {
 
@@ -301,18 +294,6 @@ BoysRow bench_boys(int reps) {
   return row;
 }
 
-std::vector<unsigned char> slurp(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  return std::vector<unsigned char>(std::istreambuf_iterator<char>(f),
-                                    std::istreambuf_iterator<char>());
-}
-
-struct ProducerRow {
-  std::size_t producers = 0;
-  double dump_s = 0.0;
-  bool bytes_identical = true;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -323,7 +304,7 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 1 : 3;
 
   bench::print_header(
-      "ERI compute kernels: shell-pair cache, Boys fast path, N producers",
+      "ERI compute kernels: shell-pair cache, Boys fast path",
       "PaSTRI (CLUSTER'18) dataset generation stage; "
       "McMurchie-Davidson engine");
 
@@ -359,48 +340,6 @@ int main(int argc, char** argv) {
   std::printf("  max |table - series| over sweep: %.3e\n\n",
               boys_row.max_abs_diff);
 
-  // -- 3. multi-producer dump byte identity ----------------------------
-  const std::string dir = "/tmp/pastri_bench_eri_kernels";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const Molecule mol = make_molecule("benzene");
-  DatasetOptions dopt_ds;
-  dopt_ds.config = parse_config("(dd|dd)");
-  dopt_ds.max_blocks = smoke ? 48 : 256;
-  dopt_ds.seed = 20180901;
-  Params params;
-  EriDumpOptions dump_opt;
-  dump_opt.num_shards = 2;
-
-  std::vector<ProducerRow> prod_rows;
-  std::printf("dump_eri_sharded, %zu blocks, %d shards\n",
-              dopt_ds.max_blocks, dump_opt.num_shards);
-  for (const std::size_t producers : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{4}}) {
-    EriPipelineOptions popt;
-    popt.producers = producers;
-    const std::string base = "p" + std::to_string(producers);
-    ProducerRow row;
-    row.producers = producers;
-    row.dump_s = bench::best_time_seconds(
-        [&] {
-          dump_eri_sharded(mol, dopt_ds, params, dir, base, dump_opt, popt);
-        },
-        reps);
-    for (int s = 0; s < dump_opt.num_shards; ++s) {
-      const std::string suffix = "." + std::to_string(s);
-      row.bytes_identical =
-          row.bytes_identical &&
-          slurp(dir + "/" + base + suffix) == slurp(dir + "/p1" + suffix);
-    }
-    all_identical = all_identical && row.bytes_identical;
-    std::printf("  producers=%zu   %7.3f s   bytes %s\n", producers,
-                row.dump_s,
-                row.bytes_identical ? "identical" : "DIFFER");
-    prod_rows.push_back(row);
-  }
-  std::filesystem::remove_all(dir);
-
   // -- artifact --------------------------------------------------------
   const std::string out = bench::artifact_path("BENCH_eri_kernels.json");
   std::FILE* f = smoke ? nullptr : std::fopen(out.c_str(), "w");
@@ -422,7 +361,7 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "  \"boys\": {\"order\": %d, \"series_evals_per_s\": %.1f, "
                  "\"table_evals_per_s\": %.1f, \"speedup\": %.3f, "
-                 "\"max_abs_diff\": %.3e},\n",
+                 "\"max_abs_diff\": %.3e}\n",
                  kMaxBoysOrder, boys_row.series_evals_per_s,
                  boys_row.table_evals_per_s,
                  boys_row.series_evals_per_s > 0
@@ -430,16 +369,7 @@ int main(int argc, char** argv) {
                            boys_row.series_evals_per_s
                      : 0.0,
                  boys_row.max_abs_diff);
-    std::fprintf(f, "  \"dump_producers\": [\n");
-    for (std::size_t i = 0; i < prod_rows.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"producers\": %zu, \"dump_s\": %.4f, "
-                   "\"bytes_identical\": %s}%s\n",
-                   prod_rows[i].producers, prod_rows[i].dump_s,
-                   prod_rows[i].bytes_identical ? "true" : "false",
-                   i + 1 < prod_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
+    std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("\nwrote %s\n", out.c_str());
   }

@@ -2,13 +2,13 @@
 // measured end to end.  Grows bench_fig10's modelled parallel-filesystem
 // numbers into a real multi-process dump/load experiment:
 //
-//   1. Single-process dump: the sequential baseline (compute, then
-//      encode, then write, one stage at a time on one thread) against
-//      the staged pipeline (producer thread + async io drain), with the
-//      shard files compared byte for byte -- the pipeline knobs must
-//      never change the bytes.  Stage busy/stall times and the overlap
-//      efficiency go on the record, so a single-core host that cannot
-//      show real overlap is visible as such rather than flattering.
+//   1. Single-process dump: the dense path (generate the whole
+//      dataset, then write_compressed_dataset it) against the staged
+//      pipeline (producer thread + async io drain), with the shard files
+//      compared byte for byte -- the pipeline must never change the
+//      bytes.  Stage busy/stall times and the overlap efficiency go on
+//      the record, so a single-core host that cannot show real overlap
+//      is visible as such rather than flattering.
 //
 //   2. Multi-process file-per-process dump/load (the paper's Bebop
 //      experiment, for real): spawn one rank per shard -- this binary
@@ -83,30 +83,28 @@ bool same_shard_files(const std::string& dir, const std::string& a,
 }
 
 struct DumpTimings {
-  double seq_s = 0.0;
+  double dense_s = 0.0;
   double pipe_s = 0.0;
   qc::EriPipelineResult pipe;
 };
 
-/// One dataset dumped both ways, byte-checked, best-of-N timed.
+/// One dataset dumped both ways, best-of-N timed.
 DumpTimings time_dump(const qc::Molecule& mol, const qc::DatasetOptions& opt,
                       const Params& p, const std::string& dir, int shards,
                       int reps) {
   DumpTimings t;
-  qc::EriDumpOptions dopt;
-  dopt.num_shards = shards;
-
-  qc::EriPipelineOptions seq;
-  seq.pipelined = false;
-  seq.async_io = false;
-  t.seq_s = bench::best_time_seconds(
-      [&] { qc::dump_eri_sharded(mol, opt, p, dir, "seq", dopt, seq); },
+  t.dense_s = bench::best_time_seconds(
+      [&] {
+        io::write_compressed_dataset(qc::generate_eri_dataset(mol, opt), p,
+                                     shards, dir, "dense");
+      },
       reps);
 
-  qc::EriPipelineOptions pipe;  // defaults: producer thread + async io
+  qc::EriDumpOptions dopt;
+  dopt.num_shards = shards;
   t.pipe_s = bench::best_time_seconds(
       [&] {
-        t.pipe = qc::dump_eri_sharded(mol, opt, p, dir, "pipe", dopt, pipe)
+        t.pipe = qc::dump_eri_sharded(mol, opt, p, dir, "pipe", dopt)
                      .pipeline;
       },
       reps);
@@ -227,13 +225,13 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 1 : 3;
   const int shards = 4;
 
-  // -- 1. sequential vs pipelined single-process dump ------------------
+  // -- 1. dense vs pipelined single-process dump -----------------------
   const DumpTimings t = time_dump(mol, opt, p, dir, shards, reps);
-  const bool identical = same_shard_files(dir, "seq", "pipe", shards);
-  const double speedup = t.pipe_s > 0 ? t.seq_s / t.pipe_s : 0.0;
+  const bool identical = same_shard_files(dir, "dense", "pipe", shards);
+  const double speedup = t.pipe_s > 0 ? t.dense_s / t.pipe_s : 0.0;
   std::printf("single-process dump, %zu blocks, %d shards\n",
               t.pipe.meta.num_blocks, shards);
-  std::printf("  sequential  %8.3f s\n", t.seq_s);
+  std::printf("  dense       %8.3f s\n", t.dense_s);
   std::printf("  pipelined   %8.3f s   (%.2fx, bytes %s)\n", t.pipe_s,
               speedup, identical ? "identical" : "DIFFER");
   std::printf("  stage busy  compute %.3f / encode %.3f / io %.3f s\n",
@@ -322,14 +320,14 @@ int main(int argc, char** argv) {
           f,
           "  \"note\": \"single-core host: the producer/encoder/io "
           "threads time-slice one core, so pipelined wall time cannot "
-          "beat sequential here; byte identity and stage accounting are "
+          "beat the dense path here; byte identity and stage accounting are "
           "the meaningful results\",\n");
     }
     std::fprintf(f,
                  "  \"dump\": {\"blocks\": %zu, \"shards\": %d, "
-                 "\"sequential_s\": %.4f, \"pipelined_s\": %.4f, "
+                 "\"dense_s\": %.4f, \"pipelined_s\": %.4f, "
                  "\"speedup\": %.3f, \"bytes_identical\": %s,\n",
-                 t.pipe.meta.num_blocks, shards, t.seq_s, t.pipe_s, speedup,
+                 t.pipe.meta.num_blocks, shards, t.dense_s, t.pipe_s, speedup,
                  identical ? "true" : "false");
     std::fprintf(f,
                  "           \"compute_s\": %.4f, \"encode_s\": %.4f, "

@@ -68,7 +68,7 @@ int usage() {
       "  pastri_tool extract    IN.pastri FIRST [COUNT]\n"
       "  pastri_tool inspect    IN.pastri\n"
       "  pastri_tool generate   MOLECULE CONFIG DIR BASENAME"
-      " [--shards N] [--resume] [--sequential] [--producers N] [--eb E]"
+      " [--shards N] [--resume] [--eb E]"
       " [--blocks N] [--batch N] [--seed S]\n"
       "  pastri_tool serve-client HOST:PORT ping\n"
       "  pastri_tool serve-client HOST:PORT get-block STORE FIRST [COUNT]\n"
@@ -361,8 +361,7 @@ int cmd_inspect(const char* in) {
 /// a producer thread, encodes on the main thread, drains shard bytes on
 /// io threads, and writes `DIR/BASENAME.manifest` + shards -- the same
 /// files a dense generate-then-compress run produces, byte for byte.
-/// --resume continues an interrupted dump; --sequential is the
-/// no-overlap baseline (identical output, for timing comparisons).
+/// --resume continues an interrupted dump.
 int cmd_generate(int argc, char** argv) {
   if (argc < 4) return usage();
   const std::string molecule = argv[0], config = argv[1];
@@ -379,17 +378,11 @@ int cmd_generate(int argc, char** argv) {
     };
     if (a == "--shards" && next()) dump.num_shards = std::stoi(argv[i]);
     else if (a == "--resume") dump.resume = true;
-    else if (a == "--sequential") {
-      popt.pipelined = false;
-      popt.async_io = false;
-    }
     else if (a == "--eb" && next()) p.error_bound = std::stod(argv[i]);
     else if (a == "--blocks" && next())
       dopt.max_blocks = std::stoull(argv[i]);
     else if (a == "--batch" && next())
       popt.batch_blocks = std::stoull(argv[i]);
-    else if (a == "--producers" && next())
-      popt.producers = std::stoull(argv[i]);
     else if (a == "--seed" && next()) dopt.seed = std::stoull(argv[i]);
     else return usage();
   }
@@ -415,15 +408,6 @@ int cmd_generate(int argc, char** argv) {
               static_cast<double>(pl.encode_stall_ns) / 1e9,
               static_cast<double>(pl.io_stall_ns) / 1e9,
               100.0 * pl.overlap_efficiency);
-  if (pl.producers.size() > 1) {
-    for (std::size_t i = 0; i < pl.producers.size(); ++i) {
-      std::printf("  producer %zu: %zu chunks, busy %.3f s, stalled %.3f "
-                  "s\n",
-                  i, pl.producers[i].chunks,
-                  static_cast<double>(pl.producers[i].compute_ns) / 1e9,
-                  static_cast<double>(pl.producers[i].stall_ns) / 1e9);
-    }
-  }
   if (pl.stats.output_bytes > 0) {
     std::printf("codec: %zu -> %zu bytes, ratio %.2fx (EB=%.0e)\n",
                 pl.stats.input_bytes, pl.stats.output_bytes,

@@ -209,18 +209,18 @@ void pastri_store_close(pastri_store* store);
  * One call drives the whole front half of the paper's workflow: ERI
  * quartet generation, PaSTRI compression, and sharded container io,
  * with the three stages overlapped on separate threads (double-buffered
- * bounded queues in between).  The shard bytes are identical to the
- * sequential path whatever the pipeline settings. */
+ * bounded queues in between).  The shard bytes are identical to
+ * compressing the dense dataset whatever the pipeline settings. */
 
 typedef struct pastri_eri_dump_options {
   int num_shards;      /* shard files to write (>= 1) */
   int resume;          /* nonzero: keep complete shards of a prior
                           interrupted dump, regenerate the rest */
-  int pipelined;       /* nonzero: overlap compute/encode/io stages */
+  int async_io;        /* nonzero: write shard bytes on io threads */
   size_t batch_blocks; /* blocks per pipeline chunk (0 = auto) */
 } pastri_eri_dump_options;
 
-/* Fill with the defaults (1 shard, no resume, pipelined, auto batch). */
+/* Fill with the defaults (1 shard, no resume, async io, auto batch). */
 void pastri_eri_dump_options_init(pastri_eri_dump_options* options);
 
 typedef struct pastri_eri_dump_result {

@@ -7,7 +7,7 @@
 // batch encode, shard io) with bounded queues so the stages overlap
 // while peak memory stays O(batch x depth).  `BoundedQueue` is that
 // connective tissue: a small MPMC blocking queue with close semantics
-// (producers signal end-of-stream; consumers drain and stop) and
+// (the writing side signals end-of-stream; readers drain and stop) and
 // per-side stall accounting, which is what the pipeline's overlap
 // telemetry (pastri_qc_pipeline_*_stall_ns) is computed from.
 //
@@ -37,18 +37,13 @@ class BoundedQueue {
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
   /// Block until there is room, then enqueue.  Returns false (item
-  /// dropped) if the queue was closed before room appeared.  When
-  /// `wait_ns` is non-null the time this call spent blocked is added to
-  /// it as well -- per-caller stall attribution for stages that share
-  /// one queue (e.g. the pipeline's N producers).
-  bool push(T item, std::uint64_t* wait_ns = nullptr) {
+  /// dropped) if the queue was closed before room appeared.
+  bool push(T item) {
     std::unique_lock<std::mutex> lk(mu_);
     if (items_.size() >= capacity_ && !closed_) {
       const auto t0 = std::chrono::steady_clock::now();
       not_full_.wait(lk, [&] { return items_.size() < capacity_ || closed_; });
-      const std::uint64_t w = elapsed_ns_(t0);
-      producer_wait_ns_ += w;
-      if (wait_ns != nullptr) *wait_ns += w;
+      producer_wait_ns_ += elapsed_ns_(t0);
     }
     if (closed_) return false;
     items_.push_back(std::move(item));
@@ -58,16 +53,13 @@ class BoundedQueue {
   }
 
   /// Block until an item is available, then dequeue into `out`.
-  /// Returns false once the queue is closed AND drained.  `wait_ns` as
-  /// for push().
-  bool pop(T& out, std::uint64_t* wait_ns = nullptr) {
+  /// Returns false once the queue is closed AND drained.
+  bool pop(T& out) {
     std::unique_lock<std::mutex> lk(mu_);
     if (items_.empty() && !closed_) {
       const auto t0 = std::chrono::steady_clock::now();
       not_empty_.wait(lk, [&] { return !items_.empty() || closed_; });
-      const std::uint64_t w = elapsed_ns_(t0);
-      consumer_wait_ns_ += w;
-      if (wait_ns != nullptr) *wait_ns += w;
+      consumer_wait_ns_ += elapsed_ns_(t0);
     }
     if (items_.empty()) return false;  // closed and drained
     out = std::move(items_.front());
@@ -77,8 +69,8 @@ class BoundedQueue {
     return true;
   }
 
-  /// End-of-stream: blocked producers drop their item and return false,
-  /// consumers keep draining what is queued, then pop() returns false.
+  /// End-of-stream: a blocked push() drops its item and returns false;
+  /// pop() keeps draining what is queued, then returns false.
   void close() {
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -100,9 +92,9 @@ class BoundedQueue {
 
   std::size_t capacity() const { return capacity_; }
 
-  /// Cumulative time producers spent blocked on a full queue (the
-  /// downstream stage is the bottleneck) and consumers on an empty one
-  /// (the upstream stage is).  Read these after the stage threads have
+  /// Cumulative time push() spent blocked on a full queue (the
+  /// downstream stage is the bottleneck) and pop() on an empty one (the
+  /// upstream stage is).  Read these after the stage threads have
   /// joined, or accept a slightly stale view.
   std::uint64_t producer_wait_ns() const {
     std::lock_guard<std::mutex> lk(mu_);

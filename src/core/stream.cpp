@@ -250,18 +250,17 @@ std::size_t IstreamSource::read(std::span<std::uint8_t> out) {
 
 // ---- StreamWriter -------------------------------------------------------
 
-namespace {
-
-/// Blocks per batch: enough to occupy every worker, capped so the raw
-/// staging buffer stays a few MB however large the blocks are.
 std::size_t auto_batch_blocks(const BlockSpec& spec, int num_threads) {
   const std::size_t bs = std::max<std::size_t>(1, spec.block_size());
-  const std::size_t want = std::max<std::size_t>(
-      64, 16 * static_cast<std::size_t>(num_threads));
+  const auto threads =
+      static_cast<std::size_t>(detail::resolve_threads(num_threads));
+  const std::size_t want = std::max<std::size_t>(64, 16 * threads);
   const std::size_t mem_cap =
       std::max<std::size_t>(1, (std::size_t{8} << 20) / (bs * sizeof(double)));
   return std::min(want, mem_cap);
 }
+
+namespace {
 
 /// Batch-pipeline telemetry (obs/metric_names.h).  One update per batch,
 /// not per block, so the cost is invisible next to the encode itself.
@@ -308,9 +307,8 @@ StreamWriter::StreamWriter(ByteSink& sink, const BlockSpec& spec,
         "StreamWriter: sink cannot patch the header; declare "
         "expected_blocks up-front for non-seekable sinks");
   }
-  const int nthreads = detail::resolve_threads(params_.num_threads);
   if (batch_capacity_ == 0) {
-    batch_capacity_ = auto_batch_blocks(spec_, nthreads);
+    batch_capacity_ = auto_batch_blocks(spec_, params_.num_threads);
   }
   batch_.resize(batch_capacity_ * spec_.block_size());
 
@@ -357,9 +355,9 @@ StreamWriter::StreamWriter(ByteSink& sink, const StreamInfo& info,
   }
   bytes_emitted_ = index.num_blocks() == 0 ? detail::kGlobalHeaderBytes
                                            : index.payload_end();
-  const int nthreads = detail::resolve_threads(params_.num_threads);
-  batch_capacity_ =
-      opt.batch_blocks ? opt.batch_blocks : auto_batch_blocks(spec_, nthreads);
+  batch_capacity_ = opt.batch_blocks
+                        ? opt.batch_blocks
+                        : auto_batch_blocks(spec_, params_.num_threads);
   batch_.resize(batch_capacity_ * spec_.block_size());
   stats_.num_blocks = resumed_blocks_;
 }
@@ -546,10 +544,9 @@ StreamConsumer::StreamConsumer(ByteSource& source,
   params_.num_threads = opt.num_threads;
   remaining_ = info_.num_blocks;
 
-  const int nthreads = detail::resolve_threads(params_.num_threads);
   batch_blocks_ = opt.batch_blocks
                       ? opt.batch_blocks
-                      : auto_batch_blocks(info_.spec, nthreads);
+                      : auto_batch_blocks(info_.spec, params_.num_threads);
   // Sanity cap on a single payload's declared length: a valid block
   // never exceeds ~16 bytes per value plus per-sub-block metadata, so a
   // larger length varint is corruption, not data -- reject before

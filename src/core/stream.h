@@ -1,6 +1,6 @@
 // stream.h - Bounded-memory streaming compression and decompression.
 //
-// GAMESS-style producers emit ERI shell blocks one quartet at a time and
+// GAMESS-style generators emit ERI shell blocks one quartet at a time and
 // consumers read them back each SCF iteration; holding the whole dataset
 // in memory on both sides defeats the purpose of compression for the
 // largest systems.  The classes here provide the out-of-core pipeline
@@ -179,6 +179,14 @@ class IstreamSource final : public ByteSource {
 
 /// Sentinel for "block count not known until finish()".
 inline constexpr std::uint64_t kUnknownBlockCount = ~std::uint64_t{0};
+
+/// Blocks per batch when StreamWriterOptions::batch_blocks (or
+/// StreamConsumerOptions::batch_blocks) is 0: enough to keep every worker
+/// busy -- `num_threads` as in Params::num_threads, 0 = the OpenMP
+/// default -- capped so the raw staging buffer stays a few MB however
+/// large the blocks are.  The ERI pipeline sizes its compute chunks by
+/// the same rule, so one computed chunk fills one encode batch.
+std::size_t auto_batch_blocks(const BlockSpec& spec, int num_threads);
 
 struct StreamWriterOptions {
   /// Blocks per encode batch -- the depth of the bounded producer/worker

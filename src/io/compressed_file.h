@@ -25,7 +25,7 @@ struct ShardLayout {
 
 /// The contiguous layout every sharded writer/reader in this module
 /// uses: blocks are dealt round-down with the remainder spread over the
-/// leading shards.  Exposed so out-of-process producers (the pipeline's
+/// leading shards.  Exposed so out-of-process writers (the pipeline's
 /// resume path, the fork-based bench ranks) can address "shard s holds
 /// dataset blocks [first_block(s), first_block(s)+count)" without a
 /// ShardedDatasetWriter instance.

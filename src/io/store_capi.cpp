@@ -170,7 +170,7 @@ void pastri_eri_dump_options_init(pastri_eri_dump_options* options) {
   if (options == nullptr) return;
   options->num_shards = 1;
   options->resume = 0;
-  options->pipelined = 1;
+  options->async_io = 1;
   options->batch_blocks = 0;
 }
 
@@ -202,8 +202,7 @@ pastri_status pastri_eri_dump(const char* molecule, const char* config,
     dump.num_shards = o.num_shards;
     dump.resume = o.resume != 0;
     pastri::qc::EriPipelineOptions popt;
-    popt.pipelined = o.pipelined != 0;
-    popt.async_io = o.pipelined != 0;
+    popt.async_io = o.async_io != 0;
     popt.batch_blocks = o.batch_blocks;
 
     const pastri::qc::EriDumpResult r =

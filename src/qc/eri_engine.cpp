@@ -8,6 +8,7 @@
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "qc/quartet_plan.h"
 
 namespace pastri::qc {
 namespace {
@@ -34,7 +35,7 @@ const EngineMetrics& engine_metrics() {
 
 /// One reusable quartet workspace per OS thread.  OpenMP teams spawned
 /// by different host threads run on disjoint OS threads, so concurrent
-/// compute_range calls (the multi-producer pipeline) never share one.
+/// compute_range calls never share one.
 EriWorkspace& tls_workspace() {
   thread_local EriWorkspace ws;
   return ws;
@@ -64,71 +65,70 @@ std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k,
   return out;
 }
 
-/// One sampled quartet, post-screening.
+/// One sampled quartet, post-screening, as shell indices into the
+/// plan's union basis.
 struct Item {
   std::size_t i, j, k, l;
   bool screened;
 };
 
+/// The shells of the four configuration slots as one BasisSet: the
+/// make_basis shells of each distinct slot momentum, in first-slot
+/// order.  Slot s owns shells [first[s], first[s] + count[s]).
+struct SlotBasis {
+  BasisSet basis;
+  std::array<std::size_t, 4> first{};
+  std::array<std::size_t, 4> count{};
+};
+
+SlotBasis slot_basis(const Molecule& mol, const DatasetOptions& opt) {
+  SlotBasis sb;
+  for (int s = 0; s < 4; ++s) {
+    const int l = opt.config[s];
+    if (l < 0 || l > kMaxAngularMomentum) {
+      throw std::invalid_argument("configuration momentum out of range");
+    }
+    int prev = 0;
+    while (prev < s && opt.config[prev] != l) ++prev;
+    if (prev < s) {
+      sb.first[s] = sb.first[prev];
+      sb.count[s] = sb.count[prev];
+      continue;
+    }
+    BasisOptions bo;
+    bo.l = l;
+    bo.contraction = opt.contraction;
+    const BasisSet b = make_basis(mol, bo);
+    sb.first[s] = sb.basis.shells.size();
+    sb.count[s] = b.shells.size();
+    sb.basis.shells.insert(sb.basis.shells.end(), b.shells.begin(),
+                           b.shells.end());
+  }
+  for (const std::size_t n : sb.count) {
+    if (n == 0) {
+      throw std::invalid_argument(
+          "molecule yields no shells for this config");
+    }
+  }
+  return sb;
+}
+
 /// Everything `generate_eri_dataset` decides before computing a single
-/// integral: the shells, the surviving sample, and the dataset metadata.
-/// Shared by the dense and the streaming generators so both produce the
-/// identical dataset.  Slots are stored as momenta (indices into by_l),
-/// not pointers, so the plan is safely movable.
+/// integral: the quartet plan over the slots' shells (pairs and Schwarz
+/// table), the surviving sample, and the dataset metadata.  Immutable
+/// once built, so concurrent readers are safe.
 struct EriPlan {
-  std::array<BasisSet, kMaxAngularMomentum + 1> by_l;
-  std::array<int, 4> slot_l{};
+  QuartetPlan quartets;
   std::vector<Item> items;
   EriStreamMeta meta;
   BoysMode boys_mode = BoysMode::Exact;
-
-  // Shell-pair cache: every (bra i,j) and (ket k,l) pair's Hermite term
-  // data, built once at plan time and reused by every quartet and every
-  // Schwarz bound.  Pure configurations share one table (the ket simply
-  // indexes bra_pairs), mirroring the q_bra/q_ket sharing below.
-  std::vector<ShellPairData> bra_pairs;  // i * |s1| + j
-  std::vector<ShellPairData> ket_pairs;  // k * |s3| + l; empty when shared
-  bool ket_shares_bra = false;
-
-  const std::vector<Shell>& shells(int s) const {
-    return by_l[static_cast<std::size_t>(slot_l[s])].shells;
-  }
-
-  const ShellPairData& bra_pair(std::size_t i, std::size_t j) const {
-    return bra_pairs[i * shells(1).size() + j];
-  }
-  const ShellPairData& ket_pair(std::size_t k, std::size_t l) const {
-    const std::size_t idx = k * shells(3).size() + l;
-    return ket_shares_bra ? bra_pairs[idx] : ket_pairs[idx];
-  }
 };
 
 EriPlan plan_eri(const Molecule& mol, const DatasetOptions& opt) {
-  EriPlan plan;
-  {
-    std::array<bool, kMaxAngularMomentum + 1> built{};
-    for (int i = 0; i < 4; ++i) {
-      const int l = opt.config[i];
-      if (l < 0 || l > kMaxAngularMomentum) {
-        throw std::invalid_argument("configuration momentum out of range");
-      }
-      if (!built[l]) {
-        BasisOptions bo;
-        bo.l = l;
-        bo.contraction = opt.contraction;
-        plan.by_l[static_cast<std::size_t>(l)] = make_basis(mol, bo);
-        built[l] = true;
-      }
-      plan.slot_l[i] = l;
-    }
-  }
-  const auto& s0 = plan.shells(0);
-  const auto& s1 = plan.shells(1);
-  const auto& s2 = plan.shells(2);
-  const auto& s3 = plan.shells(3);
-  if (s0.empty() || s1.empty() || s2.empty() || s3.empty()) {
-    throw std::invalid_argument("molecule yields no shells for this config");
-  }
+  const SlotBasis sb = slot_basis(mol, opt);
+  EriPlan plan{QuartetPlan(sb.basis), {}, {}, opt.boys_mode};
+  const std::size_t ns = plan.quartets.layout().num_shells();
+  engine_metrics().pair_misses.add(ns * ns);
 
   plan.meta.shape.n = {
       static_cast<std::uint16_t>(num_cartesians(opt.config[0])),
@@ -144,89 +144,28 @@ EriPlan plan_eri(const Molecule& mol, const DatasetOptions& opt) {
         1, opt.target_bytes / (block_size * sizeof(double)));
   }
 
-  const std::size_t total =
-      s0.size() * s1.size() * s2.size() * s3.size();
+  const auto& n = sb.count;
+  const std::size_t total = n[0] * n[1] * n[2] * n[3];
   const auto indices = sample_indices(total, std::min(total, max_blocks),
                                       opt.seed);
-
-  // Build the shell-pair cache and the Schwarz bounds off it in one
-  // pass: each pair is constructed exactly once (a cache miss), its
-  // bound computed from the cached data, and the pair kept for every
-  // quartet that will reference it.  Pure configurations share one
-  // table between bra and ket.
-  plan.boys_mode = opt.boys_mode;
-  const EngineMetrics& metrics = engine_metrics();
-  plan.bra_pairs.resize(s0.size() * s1.size());
-  std::vector<double> q_bra(s0.size() * s1.size());
-#pragma omp parallel
-  {
-    EriWorkspace ws;
-    ws.boys_mode = opt.boys_mode;
-#pragma omp for schedule(dynamic)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(s0.size());
-         ++i) {
-      for (std::size_t j = 0; j < s1.size(); ++j) {
-        const std::size_t idx = static_cast<std::size_t>(i) * s1.size() + j;
-        ShellPairData sp(s0[static_cast<std::size_t>(i)], s1[j]);
-        sp.set_r_stride(2 * sp.l_sum());
-        q_bra[idx] = schwarz_bound(sp, ws);
-        plan.bra_pairs[idx] = std::move(sp);
-      }
-    }
-  }
-  metrics.pair_misses.add(plan.bra_pairs.size());
-  std::vector<double> q_ket;
-  if (&s2 == &s0 && &s3 == &s1) {
-    plan.ket_shares_bra = true;
-    q_ket = q_bra;
-    metrics.pair_hits.add(plan.bra_pairs.size());
-  } else {
-    plan.ket_pairs.resize(s2.size() * s3.size());
-    q_ket.resize(s2.size() * s3.size());
-#pragma omp parallel
-    {
-      EriWorkspace ws;
-      ws.boys_mode = opt.boys_mode;
-#pragma omp for schedule(dynamic)
-      for (std::ptrdiff_t k = 0; k < static_cast<std::ptrdiff_t>(s2.size());
-           ++k) {
-        for (std::size_t l = 0; l < s3.size(); ++l) {
-          const std::size_t idx = static_cast<std::size_t>(k) * s3.size() + l;
-          ShellPairData sp(s2[static_cast<std::size_t>(k)], s3[l]);
-          sp.set_r_stride(2 * sp.l_sum());
-          q_ket[idx] = schwarz_bound(sp, ws);
-          plan.ket_pairs[idx] = std::move(sp);
-        }
-      }
-    }
-    metrics.pair_misses.add(plan.ket_pairs.size());
-  }
 
   // Decide which sampled quartets survive screening.
   plan.items.reserve(indices.size());
   for (std::size_t flat : indices) {
     Item it;
-    it.l = flat % s3.size();
-    flat /= s3.size();
-    it.k = flat % s2.size();
-    flat /= s2.size();
-    it.j = flat % s1.size();
-    it.i = flat / s1.size();
-    it.screened = q_bra[it.i * s1.size() + it.j] *
-                      q_ket[it.k * s3.size() + it.l] <
+    it.l = sb.first[3] + flat % n[3];
+    flat /= n[3];
+    it.k = sb.first[2] + flat % n[2];
+    flat /= n[2];
+    it.j = sb.first[1] + flat % n[1];
+    it.i = sb.first[0] + flat / n[1];
+    it.screened = plan.quartets.schwarz(it.i, it.j) *
+                      plan.quartets.schwarz(it.k, it.l) <
                   opt.screen_threshold;
     if (it.screened && !opt.keep_screened) continue;
     plan.items.push_back(it);
   }
   plan.meta.num_blocks = plan.items.size();
-
-  // Re-linearize the cached term offsets for the quartet total momentum
-  // (Schwarz used 2 * pair momentum, which differs for mixed configs).
-  // After this the plan is immutable and safe for concurrent readers.
-  const int l_total =
-      plan.slot_l[0] + plan.slot_l[1] + plan.slot_l[2] + plan.slot_l[3];
-  for (ShellPairData& sp : plan.bra_pairs) sp.set_r_stride(l_total);
-  for (ShellPairData& sp : plan.ket_pairs) sp.set_r_stride(l_total);
   return plan;
 }
 
@@ -312,9 +251,8 @@ void EriBlockGenerator::compute_range(std::size_t first, std::size_t count,
     for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(count); ++b) {
       const Item& it = plan.items[first + static_cast<std::size_t>(b)];
       if (it.screened) continue;  // stays all-zero
-      compute_eri_block(plan.bra_pair(it.i, it.j), plan.ket_pair(it.k, it.l),
-                        ws,
-                        out.subspan(static_cast<std::size_t>(b) * bs, bs));
+      const auto blk = out.subspan(static_cast<std::size_t>(b) * bs, bs);
+      plan.quartets.compute(it.i, it.j, it.k, it.l, ws, blk);
       ++computed;
     }
     boys_total += ws.boys_evals - boys0;
@@ -332,30 +270,6 @@ void EriBlockGenerator::compute_range(std::size_t first, std::size_t count,
                                 static_cast<double>(ns));
     }
   }
-}
-
-EriStreamMeta generate_eri_block_batches(
-    const Molecule& mol, const DatasetOptions& opt,
-    const std::function<void(const EriStreamMeta& meta,
-                             std::size_t first_block,
-                             std::span<const double> values)>& emit,
-    std::size_t batch_blocks) {
-  // Compute a batch of blocks in parallel into one reusable buffer, then
-  // hand the batch to the callback in dataset order -- the emitted
-  // sequence is exactly generate_eri_dataset's block order, with
-  // O(batch) memory.
-  const EriBlockGenerator gen(mol, opt);
-  const EriStreamMeta& meta = gen.meta();
-  const std::size_t bs = meta.shape.block_size();
-  const std::size_t batch = batch_blocks != 0 ? batch_blocks : 64;
-  std::vector<double> buf(batch * bs);
-  for (std::size_t b0 = 0; b0 < meta.num_blocks; b0 += batch) {
-    const std::size_t n = std::min(batch, meta.num_blocks - b0);
-    const auto chunk = std::span<double>(buf).first(n * bs);
-    gen.compute_range(b0, n, chunk);
-    emit(meta, b0, chunk);
-  }
-  return meta;
 }
 
 double measure_generation_rate(const Molecule& mol, const DatasetOptions& opt,

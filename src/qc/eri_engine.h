@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <span>
@@ -77,12 +76,12 @@ struct EriStreamMeta {
 /// fork-based per-rank benchmarks are built on: rank r computes exactly
 /// the block range its shard covers, nothing else.
 ///
-/// compute_range() is OpenMP-parallel internally and safe to call
-/// concurrently from multiple host threads on the same generator: the
-/// plan (shells, sample, cached shell-pair data) is immutable after
-/// construction and all per-quartet scratch lives in thread-local
-/// workspaces.  The multi-producer pipeline partitions one generator's
-/// chunk stream across N producer threads on exactly this guarantee.
+/// The plan is a QuartetPlan over the union of the slots' shells, so
+/// every block comes out of QuartetPlan::compute, the one quartet path
+/// the BasisSet consumers use too.  compute_range() is OpenMP-parallel
+/// internally; the plan is immutable after construction and per-quartet
+/// scratch lives in thread-local workspaces, so a const generator may be
+/// used from any thread.
 class EriBlockGenerator {
  public:
   EriBlockGenerator(const Molecule& mol, const DatasetOptions& opt);
@@ -104,21 +103,6 @@ class EriBlockGenerator {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Batched block-callback twin of `generate_eri_dataset`: plans the
-/// identical sampled dataset, computes quartet blocks in OpenMP batches
-/// of `batch_blocks` (0 = auto) and delivers each finished batch to
-/// `emit` as one contiguous span of whole blocks starting at dataset
-/// block `first_block`, in dataset order.  Piping the emitted values
-/// into a StreamWriter yields byte-for-byte the stream
-/// `compress(generate_eri_dataset(...))` would, while peak memory stays
-/// O(batch): the dense ERI tensor is never built.  Returns the metadata.
-EriStreamMeta generate_eri_block_batches(
-    const Molecule& mol, const DatasetOptions& opt,
-    const std::function<void(const EriStreamMeta& meta,
-                             std::size_t first_block,
-                             std::span<const double> values)>& emit,
-    std::size_t batch_blocks = 0);
 
 /// Throughput measurement helper for Fig. 11: evaluates `blocks` sampled
 /// blocks and returns generated MB per second of wall time.

@@ -3,13 +3,10 @@
 // writers; the header sits with the other qc entry points it extends.
 #include "qc/eri_pipeline.h"
 
-#include <omp.h>
-
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <exception>
-#include <mutex>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -51,27 +48,15 @@ std::uint64_t since_ns(std::chrono::steady_clock::time_point t0) {
   return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
 }
 
-/// Chunk batch when the caller left it auto: the same sizing rule
-/// StreamWriter uses for its encode batches (keep every OpenMP worker
-/// busy, cap the staging buffer at a few MB), so one computed chunk
+/// Blocks per chunk: the caller's, or StreamWriter's own encode batch
+/// rule for this block shape and thread count, so one computed chunk
 /// fills exactly one encode batch.
-std::size_t auto_chunk_blocks(std::size_t block_size) {
-  const std::size_t bs = std::max<std::size_t>(1, block_size);
-  const std::size_t want = std::max<std::size_t>(
-      64, 16 * static_cast<std::size_t>(omp_get_max_threads()));
-  const std::size_t mem_cap =
-      std::max<std::size_t>(1, (std::size_t{8} << 20) / (bs * sizeof(double)));
-  return std::min(want, mem_cap);
+std::size_t chunk_blocks(const EriPipelineOptions& popt,
+                         const BlockSpec& spec, const Params& params) {
+  return popt.batch_blocks != 0
+             ? popt.batch_blocks
+             : auto_batch_blocks(spec, params.num_threads);
 }
-
-/// One unit of compute->encode traffic: whole blocks
-/// [first, first+count), contiguous.  Buffers are recycled through a
-/// free queue, so steady-state allocation is zero.
-struct Chunk {
-  std::size_t first = 0;
-  std::size_t count = 0;
-  std::vector<double> values;
-};
 
 struct PumpStats {
   std::size_t chunks = 0;
@@ -79,158 +64,80 @@ struct PumpStats {
   std::uint64_t encode_ns = 0;
   std::uint64_t compute_stall_ns = 0;
   std::uint64_t encode_stall_ns = 0;
-  std::vector<EriProducerStats> producers;
 };
 
-using PutFn =
-    std::function<void(std::size_t first_block, std::span<const double>)>;
+using PutFn = std::function<void(std::span<const double> values)>;
 
 /// Drive dataset blocks [first, first+count) from `gen` into `put`, in
-/// order.  Pipelined mode runs compute on a producer thread feeding a
-/// bounded filled-chunk queue (capacity = queue_depth) while `put` runs
-/// on the caller's thread; sequential mode runs both inline on one
-/// buffer.  `put` sees the identical (first_block, values) sequence
-/// either way.
+/// order.  One producer thread computes chunks of `batch` whole blocks
+/// and hands them over a bounded filled-chunk queue (capacity =
+/// queue_depth); `put` runs on the caller's thread.  Chunk buffers
+/// return through a free queue, so steady-state allocation is zero and
+/// peak memory is queue_depth + 2 chunks: the queued ones, one being
+/// computed and one being encoded.
 PumpStats pump_blocks(const EriBlockGenerator& gen, std::size_t first,
                       std::size_t count, std::size_t batch,
-                      const EriPipelineOptions& popt, const PutFn& put) {
+                      std::size_t queue_depth, const PutFn& put) {
   const std::size_t bs = gen.meta().shape.block_size();
   PumpStats st;
   if (count == 0) return st;
 
-  if (!popt.pipelined) {
-    std::vector<double> buf(batch * bs);
-    for (std::size_t b0 = 0; b0 < count; b0 += batch) {
-      const std::size_t n = std::min(batch, count - b0);
-      const auto chunk = std::span<double>(buf).first(n * bs);
-      auto t0 = std::chrono::steady_clock::now();
-      gen.compute_range(first + b0, n, chunk);
-      st.compute_ns += since_ns(t0);
-      t0 = std::chrono::steady_clock::now();
-      put(first + b0, chunk);
-      st.encode_ns += since_ns(t0);
-      ++st.chunks;
-      pipeline_metrics().chunks.inc();
-    }
-    return st;
-  }
-
-  // Staged overlap, N compute producers feeding one encoder.  Producers
-  // claim chunk indices dynamically: each first acquires a free buffer,
-  // THEN claims the next index -- so the indices outstanding at any
-  // moment span fewer than nbuf positions, and the consumer can
-  // re-establish dataset order with a fixed ring of nbuf slots (slot =
-  // chunk_index % nbuf) without ever allocating or deadlocking.  The
-  // encoder therefore sees the identical in-order (first, values)
-  // sequence for every producer count, which keeps the bytes identical.
-  //
-  // Peak memory is nbuf = depth + producers + 1 chunks: `depth` queued
-  // between the stages, one in flight per producer, one in the encoder
-  // (the single-producer case reduces to the classic depth + 2 double
-  // buffering).
-  const std::size_t nprod = std::max<std::size_t>(1, popt.producers);
-  const std::size_t depth = std::max<std::size_t>(1, popt.queue_depth);
-  const std::size_t nbuf = depth + nprod + 1;
-  const std::size_t nchunks = (count + batch - 1) / batch;
+  const std::size_t depth = std::max<std::size_t>(1, queue_depth);
+  const std::size_t nbuf = depth + 2;
+  using Chunk = std::vector<double>;
   BoundedQueue<Chunk> free_q(nbuf);
   BoundedQueue<Chunk> filled_q(depth);
   for (std::size_t i = 0; i < nbuf; ++i) {
     Chunk c;
-    c.values.reserve(batch * bs);
+    c.reserve(batch * bs);
     free_q.push(std::move(c));
   }
 
-  std::mutex err_mu;
+  // The producer keeps the quartet math OpenMP-parallel inside
+  // compute_range while the encode stage runs on this thread.
   std::exception_ptr producer_error;
-  std::atomic<std::size_t> next_chunk{0};
-  std::atomic<std::size_t> live{nprod};
-  st.producers.resize(nprod);
-  std::vector<std::thread> workers;
-  workers.reserve(nprod);
-  for (std::size_t pi = 0; pi < nprod; ++pi) {
-    workers.emplace_back([&, pi] {
-      // Each producer thread gets its own OpenMP team inside
-      // compute_range (the generator is safe for concurrent ranges), so
-      // the quartet math stays parallel while the encode stage runs.
-      EriProducerStats& ps = st.producers[pi];
-      try {
-        for (;;) {
-          Chunk c;
-          if (!free_q.pop(c, &ps.stall_ns)) break;
-          const std::size_t ci =
-              next_chunk.fetch_add(1, std::memory_order_relaxed);
-          if (ci >= nchunks) {
-            free_q.push(std::move(c));
-            break;
-          }
-          const std::size_t b0 = ci * batch;
-          const std::size_t n = std::min(batch, count - b0);
-          c.first = first + b0;
-          c.count = n;
-          c.values.resize(n * bs);
-          const auto t0 = std::chrono::steady_clock::now();
-          gen.compute_range(c.first, n, c.values);
-          ps.compute_ns += since_ns(t0);
-          ++ps.chunks;
-          if (!filled_q.push(std::move(c), &ps.stall_ns)) break;
-        }
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(err_mu);
-        if (!producer_error) producer_error = std::current_exception();
+  std::thread producer([&] {
+    try {
+      for (std::size_t b0 = 0; b0 < count; b0 += batch) {
+        Chunk c;
+        if (!free_q.pop(c)) break;
+        const std::size_t n = std::min(batch, count - b0);
+        c.resize(n * bs);
+        const auto t0 = std::chrono::steady_clock::now();
+        gen.compute_range(first + b0, n, c);
+        st.compute_ns += since_ns(t0);
+        if (!filled_q.push(std::move(c))) break;
       }
-      if (live.fetch_sub(1) == 1) {
-        filled_q.close();  // last producer out: let the consumer drain
-      }
-    });
-  }
+    } catch (...) {
+      producer_error = std::current_exception();
+    }
+    filled_q.close();
+  });
 
-  std::vector<Chunk> ring(nbuf);
-  std::vector<char> ring_full(nbuf, 0);
-  std::size_t expected = 0;
   try {
     Chunk c;
     while (filled_q.pop(c)) {
       pipeline_metrics().queue_depth.set(
           static_cast<double>(filled_q.size()));
-      const std::size_t ci = (c.first - first) / batch;
-      if (ci != expected) {
-        // Arrived ahead of a slower neighbour; park it in its ring slot.
-        ring[ci % nbuf] = std::move(c);
-        ring_full[ci % nbuf] = 1;
-        continue;
-      }
-      for (;;) {
-        const auto t0 = std::chrono::steady_clock::now();
-        put(c.first, std::span<const double>(c.values).first(c.count * bs));
-        st.encode_ns += since_ns(t0);
-        ++st.chunks;
-        pipeline_metrics().chunks.inc();
-        c.values.clear();
-        free_q.push(std::move(c));
-        ++expected;
-        const std::size_t slot = expected % nbuf;
-        if (!ring_full[slot]) break;
-        c = std::move(ring[slot]);
-        ring_full[slot] = 0;
-      }
+      const auto t0 = std::chrono::steady_clock::now();
+      put(c);
+      st.encode_ns += since_ns(t0);
+      ++st.chunks;
+      pipeline_metrics().chunks.inc();
+      free_q.push(std::move(c));
     }
   } catch (...) {
-    // Unblock the producers wherever they are waiting, then re-raise.
+    // Unblock the producer wherever it is waiting, then re-raise.
     free_q.close();
     filled_q.close();
-    for (std::thread& w : workers) w.join();
+    producer.join();
     throw;
   }
-  for (std::thread& w : workers) w.join();
+  producer.join();
   if (producer_error) std::rethrow_exception(producer_error);
-  if (expected != nchunks) {
-    throw std::runtime_error("eri pipeline: chunk stream ended early");
-  }
 
-  for (const EriProducerStats& ps : st.producers) {
-    st.compute_ns += ps.compute_ns;
-    st.compute_stall_ns += ps.stall_ns;
-  }
+  st.compute_stall_ns =
+      free_q.consumer_wait_ns() + filled_q.producer_wait_ns();
   st.encode_stall_ns =
       filled_q.consumer_wait_ns() + free_q.producer_wait_ns();
   pipeline_metrics().compute_stall.add(st.compute_stall_ns);
@@ -259,7 +166,6 @@ void finalize_result(EriPipelineResult& res, const PumpStats& ps,
   res.encode_ns += ps.encode_ns;
   res.compute_stall_ns = ps.compute_stall_ns;
   res.encode_stall_ns = ps.encode_stall_ns;
-  res.producers = ps.producers;
   res.wall_ns = wall_ns;
   res.overlap_efficiency = overlap_efficiency(wall_ns, res.compute_ns,
                                               res.encode_ns, res.io_ns);
@@ -351,14 +257,12 @@ EriPipelineResult compress_eri_stream(const Molecule& mol,
   const auto t_start = std::chrono::steady_clock::now();
   const EriBlockGenerator gen(mol, opt);
   const EriStreamMeta& meta = gen.meta();
-  const std::size_t bs = meta.shape.block_size();
-  const std::size_t batch =
-      popt.batch_blocks != 0 ? popt.batch_blocks : auto_chunk_blocks(bs);
+  const BlockSpec spec{meta.shape.num_sub_blocks(),
+                       meta.shape.sub_block_size()};
+  const std::size_t batch = chunk_blocks(popt, spec, params);
 
   std::unique_ptr<AsyncSink> async;
   if (popt.async_io) async = std::make_unique<AsyncSink>(sink);
-  const BlockSpec spec{meta.shape.num_sub_blocks(),
-                       meta.shape.sub_block_size()};
   StreamWriter writer(
       async ? static_cast<ByteSink&>(*async) : sink, spec, params,
       StreamWriterOptions{.batch_blocks = batch,
@@ -367,8 +271,8 @@ EriPipelineResult compress_eri_stream(const Molecule& mol,
   EriPipelineResult res;
   res.meta = meta;
   const PumpStats ps = pump_blocks(
-      gen, 0, meta.num_blocks, batch, popt,
-      [&](std::size_t, std::span<const double> values) {
+      gen, 0, meta.num_blocks, batch, popt.queue_depth,
+      [&](std::span<const double> values) {
         writer.put_values(values);
       });
 
@@ -429,10 +333,9 @@ EriDumpResult dump_eri_sharded(const Molecule& mol, const DatasetOptions& opt,
                      start_shard);
   const std::size_t first = io::shard_first_block(layout, start_shard);
   const PumpStats ps = pump_blocks(
-      gen, first, meta.num_blocks - first,
-      popt.batch_blocks != 0 ? popt.batch_blocks : auto_chunk_blocks(bs),
-      popt,
-      [&](std::size_t, std::span<const double> values) {
+      gen, first, meta.num_blocks - first, chunk_blocks(popt, spec, params),
+      popt.queue_depth,
+      [&](std::span<const double> values) {
         roller.put(values);
       });
 

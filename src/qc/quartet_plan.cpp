@@ -1,6 +1,7 @@
 #include "qc/quartet_plan.h"
 
 #include <algorithm>
+#include <cstddef>
 
 namespace pastri::qc {
 
@@ -35,19 +36,26 @@ QuartetPlan::QuartetPlan(const BasisSet& basis) : layout_(basis) {
 
   // Build each pair once, keep a copy linearized per stride, and take
   // its Schwarz bound from the copy at the diagonal stride 2 * l_sum.
+  // Every (a, b) writes only its own slots, so rows of the table are
+  // built in parallel, one workspace per thread.
   pairs_.resize(ns * ns * num_l_sums_);
   schwarz_.resize(ns * ns);
-  EriWorkspace ws;
-  for (std::size_t a = 0; a < ns; ++a) {
-    for (std::size_t b = 0; b < ns; ++b) {
-      const ShellPairData built(basis.shells[a], basis.shells[b]);
-      for (std::size_t s = 0; s < num_l_sums_; ++s) {
-        if (!occurs[s]) continue;
-        ShellPairData& p = pairs_[(a * ns + b) * num_l_sums_ + s];
-        p = built;
-        p.set_r_stride(built.l_sum() + static_cast<int>(s));
+#pragma omp parallel
+  {
+    EriWorkspace ws;
+#pragma omp for schedule(dynamic)
+    for (std::ptrdiff_t ai = 0; ai < static_cast<std::ptrdiff_t>(ns); ++ai) {
+      const auto a = static_cast<std::size_t>(ai);
+      for (std::size_t b = 0; b < ns; ++b) {
+        const ShellPairData built(basis.shells[a], basis.shells[b]);
+        for (std::size_t s = 0; s < num_l_sums_; ++s) {
+          if (!occurs[s]) continue;
+          ShellPairData& p = pairs_[(a * ns + b) * num_l_sums_ + s];
+          p = built;
+          p.set_r_stride(built.l_sum() + static_cast<int>(s));
+        }
+        schwarz_[a * ns + b] = schwarz_bound(pair(a, b, built.l_sum()), ws);
       }
-      schwarz_[a * ns + b] = schwarz_bound(pair(a, b, built.l_sum()), ws);
     }
   }
 }

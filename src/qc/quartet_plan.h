@@ -1,13 +1,16 @@
-// quartet_plan.h - The one shell-quartet path for BasisSet consumers.
+// quartet_plan.h - The one shell-quartet path: every ERI block is
+// computed here.
 //
 // The dense ERI tensor, the compressed store, the direct Fock build and
 // store-backed MP2 all walk the same ns^4 ordered shell quartets of a
-// BasisSet.  `ShellLayout` is where each shell sits in basis-function
+// BasisSet; the paper-dataset generator (eri_engine.h) samples quartets
+// of one too.  `ShellLayout` is where each shell sits in basis-function
 // index space (offsets, widths, momenta, centers) and the one place that
 // enumerates the ordered quartets; `QuartetPlan` adds the integral side:
-// every shell pair's ShellPairData, built once and kept at each R stride
-// its quartets need, plus the Schwarz table.  Both are immutable after
-// construction; computing a block needs only a caller-owned workspace.
+// every shell pair's ShellPairData, built once (OpenMP across pairs) and
+// kept at each R stride its quartets need, plus the Schwarz table.  Both
+// are immutable after construction; computing a block needs only a
+// caller-owned workspace.
 #pragma once
 
 #include <cstddef>

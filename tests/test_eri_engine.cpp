@@ -2,9 +2,12 @@
 // serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <vector>
 
 #include "qc/eri_engine.h"
 #include "test_util.h"
@@ -161,11 +164,11 @@ TEST(Dataset, GenerationRateIsPositive) {
 }
 
 TEST(Dataset, StreamedBlocksMatchDenseGeneration) {
-  // generate_eri_block_batches must emit exactly the dense dataset's
-  // blocks, in dataset order, with identical metadata -- it is the write
-  // side of the compute -> compress pipeline, so any deviation would
-  // change the compressed bytes.  No batch size divides the 120 blocks,
-  // so every run ends on a short batch.
+  // EriBlockGenerator::compute_range over consecutive ranges must
+  // produce exactly the dense dataset's blocks, with identical metadata
+  // -- it is the compute side of the compute -> compress pipeline, so
+  // any deviation would change the compressed bytes.  No range size
+  // divides the 120 blocks, so every run ends on a short range.
   DatasetOptions o;
   o.config = {2, 1, 1, 2};
   o.max_blocks = 120;
@@ -174,28 +177,22 @@ TEST(Dataset, StreamedBlocksMatchDenseGeneration) {
   const EriDataset dense = generate_eri_dataset(mol, o);
   ASSERT_EQ(dense.num_blocks, 120u);
 
-  // 0 = the default batch of 64 blocks.
-  for (const std::size_t batch : {std::size_t{0}, std::size_t{7},
-                                  std::size_t{49}}) {
-    std::vector<double> streamed;
-    std::size_t next = 0;
-    const EriStreamMeta meta = generate_eri_block_batches(
-        mol, o,
-        [&](const EriStreamMeta& m, std::size_t first_block,
-            std::span<const double> values) {
-          EXPECT_EQ(first_block, next) << "batches must arrive in order";
-          EXPECT_EQ(m.shape, dense.shape);
-          const std::size_t bs = dense.shape.block_size();
-          EXPECT_EQ(values.size() % bs, 0u) << "whole blocks only";
-          next += values.size() / bs;
-          streamed.insert(streamed.end(), values.begin(), values.end());
-        },
-        batch);
-    EXPECT_EQ(meta.label, dense.label) << "batch " << batch;
-    EXPECT_EQ(meta.shape, dense.shape);
-    EXPECT_EQ(meta.num_blocks, dense.num_blocks);
-    EXPECT_EQ(next, dense.num_blocks);
-    EXPECT_EQ(streamed, dense.values) << "batch " << batch;
+  const EriBlockGenerator gen(mol, o);
+  const EriStreamMeta& meta = gen.meta();
+  EXPECT_EQ(meta.label, dense.label);
+  EXPECT_EQ(meta.shape, dense.shape);
+  EXPECT_EQ(meta.num_blocks, dense.num_blocks);
+  const std::size_t bs = dense.shape.block_size();
+  for (const std::size_t range : {std::size_t{7}, std::size_t{49},
+                                  std::size_t{64}}) {
+    std::vector<double> streamed(dense.values.size(), -1.0);
+    for (std::size_t first = 0; first < meta.num_blocks; first += range) {
+      const std::size_t n = std::min(range, meta.num_blocks - first);
+      gen.compute_range(first, n,
+                        std::span<double>(streamed).subspan(first * bs,
+                                                            n * bs));
+    }
+    EXPECT_EQ(streamed, dense.values) << "range " << range;
   }
 }
 

@@ -8,6 +8,7 @@
 // being value-preserving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -261,12 +262,12 @@ TEST(EriGolden, PairCacheAndBoysCountersAdvance) {
     ADD_FAILURE() << "counter not registered: " << name;
     return 0;
   };
-  const auto before = obs::registry().snapshot();
   const Molecule mol = make_molecule("benzene");
   DatasetOptions opt;
   opt.config = parse_config("(dd|dd)");
   opt.max_blocks = 16;
-  (void)generate_eri_dataset(mol, opt);
+  const auto before = obs::registry().snapshot();
+  const EriDataset ds = generate_eri_dataset(mol, opt);
   const auto after = obs::registry().snapshot();
 
   const std::uint64_t misses =
@@ -276,10 +277,23 @@ TEST(EriGolden, PairCacheAndBoysCountersAdvance) {
                              counter_value(before, obs::kQcShellPairCacheHits);
   const std::uint64_t boys = counter_value(after, obs::kQcBoysEvals) -
                              counter_value(before, obs::kQcBoysEvals);
-  EXPECT_GT(misses, 0u);
-  // Every computed quartet is two cache uses; hits must dwarf the
-  // one-time builds for any non-trivial block count.
-  EXPECT_GT(hits, misses);
+  // A miss is one pair the plan built: every ordered pair of the slots'
+  // shells, once.  A hit is one cached pair a computed quartet read: two
+  // per quartet that survived screening (screened blocks stay all-zero).
+  BasisOptions bo;
+  bo.l = 2;
+  const std::size_t ns = make_basis(mol, bo).shells.size();
+  const std::size_t bs = ds.shape.block_size();
+  const std::span<const double> values(ds.values);
+  std::uint64_t computed = 0;
+  for (std::size_t b = 0; b < ds.num_blocks; ++b) {
+    const auto blk = values.subspan(b * bs, bs);
+    computed += std::any_of(blk.begin(), blk.end(),
+                            [](double v) { return v != 0.0; });
+  }
+  EXPECT_EQ(misses, ns * ns);
+  EXPECT_EQ(hits, 2 * computed);
+  EXPECT_GT(computed, 0u);
   EXPECT_GT(boys, 0u);
 }
 

@@ -2,10 +2,10 @@
 // stage primitive, the AsyncSink io stage, and the eri_pipeline driver.
 //
 // The load-bearing property is byte identity: every pipeline knob
-// (thread overlap, chunk size, queue depth, async io) may change wall
+// (chunk size, queue depth, async io, OpenMP width) may change wall
 // time but never the container bytes, so the pipelined dump is
-// interchangeable with -- and resumable against -- the sequential
-// dense-dataset path.
+// interchangeable with -- and resumable against -- the dense-dataset
+// path.
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -56,46 +56,6 @@ TEST(BoundedQueue, FifoAndCloseDrain) {
 TEST(BoundedQueue, CapacityClampsToOne) {
   BoundedQueue<int> q(0);
   EXPECT_EQ(q.capacity(), 1u);
-}
-
-TEST(BoundedQueue, PerCallerWaitAttribution) {
-  // The wait_ns out-params accumulate only the time THIS caller spent
-  // blocked, on top of the queue-side totals -- that is what gives the
-  // pipeline per-producer stall numbers when N producers share a queue.
-  BoundedQueue<int> q(1);
-  std::uint64_t push_wait = 0, pop_wait = 0;
-
-  // Uncontended calls add nothing.
-  EXPECT_TRUE(q.push(1, &push_wait));
-  EXPECT_EQ(push_wait, 0u);
-  int v = 0;
-  EXPECT_TRUE(q.pop(v, &pop_wait));
-  EXPECT_EQ(pop_wait, 0u);
-
-  // A producer blocked on a full queue accrues wait in both places.
-  EXPECT_TRUE(q.push(1));
-  std::thread unblock([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    int x;
-    q.pop(x);
-  });
-  EXPECT_TRUE(q.push(2, &push_wait));
-  unblock.join();
-  EXPECT_GT(push_wait, 0u);
-  EXPECT_GE(q.producer_wait_ns(), push_wait);
-
-  // A consumer blocked on an empty queue likewise.
-  int y;
-  ASSERT_TRUE(q.pop(y));  // drain item 2
-  std::thread feed([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.push(3);
-  });
-  EXPECT_TRUE(q.pop(y, &pop_wait));
-  feed.join();
-  EXPECT_EQ(y, 3);
-  EXPECT_GT(pop_wait, 0u);
-  EXPECT_GE(q.consumer_wait_ns(), pop_wait);
 }
 
 TEST(BoundedQueue, TransfersInOrderAcrossThreads) {
@@ -244,10 +204,10 @@ class EriPipelineTest : public ::testing::Test {
 
 TEST_F(EriPipelineTest, BytesInvariantAcrossEveryKnob) {
   Params p;
-  qc::EriPipelineOptions seq;
-  seq.pipelined = false;
-  seq.async_io = false;
-  const auto golden = stream_bytes(p, seq);
+  const qc::EriDataset ds = qc::generate_eri_dataset(mol_, opt_);
+  const BlockSpec spec{ds.shape.num_sub_blocks(),
+                       ds.shape.sub_block_size()};
+  const auto golden = compress(ds.values, spec, p);
   ASSERT_FALSE(golden.empty());
 
   const int max_threads = omp_get_max_threads();
@@ -256,28 +216,37 @@ TEST_F(EriPipelineTest, BytesInvariantAcrossEveryKnob) {
     for (const std::size_t batch : {std::size_t{1}, std::size_t{5},
                                     std::size_t{0}}) {
       for (const std::size_t depth : {std::size_t{1}, std::size_t{3}}) {
-        qc::EriPipelineOptions popt;
-        popt.batch_blocks = batch;
-        popt.queue_depth = depth;
-        EXPECT_EQ(stream_bytes(p, popt), golden)
-            << "threads=" << threads << " batch=" << batch
-            << " depth=" << depth;
+        for (const bool async_io : {true, false}) {
+          qc::EriPipelineOptions popt;
+          popt.batch_blocks = batch;
+          popt.queue_depth = depth;
+          popt.async_io = async_io;
+          EXPECT_EQ(stream_bytes(p, popt), golden)
+              << "threads=" << threads << " batch=" << batch
+              << " depth=" << depth << " async_io=" << async_io;
+        }
       }
     }
   }
   omp_set_num_threads(max_threads);
 }
 
-TEST_F(EriPipelineTest, SequentialBaselineIsAlsoSliceInvariant) {
-  // Even with no pipeline thread and no async io, the chunk size must
-  // not leak into the bytes.
+TEST_F(EriPipelineTest, AutoChunksFollowTheEncodeBatch) {
+  // With an automatic chunk size, one computed chunk is one StreamWriter
+  // encode batch, and both are sized from Params::num_threads -- not
+  // from the OpenMP default, which this thread count deliberately
+  // differs from (and keeps the batch above its 64-block floor).
   Params p;
-  qc::EriPipelineOptions a, b;
-  a.pipelined = b.pipelined = false;
-  a.async_io = b.async_io = false;
-  a.batch_blocks = 1;
-  b.batch_blocks = 7;
-  EXPECT_EQ(stream_bytes(p, a), stream_bytes(p, b));
+  p.num_threads = 2 * omp_get_max_threads() + 4;
+  const BlockSpec spec{81, 16};  // (dd|dd)
+  const std::size_t batch = auto_batch_blocks(spec, p.num_threads);
+  opt_.max_blocks = batch + batch / 2;
+  VectorSink sink;
+  const qc::EriPipelineResult res =
+      qc::compress_eri_stream(mol_, opt_, p, sink);
+  ASSERT_EQ(res.meta.num_blocks, opt_.max_blocks);
+  EXPECT_EQ(res.meta.shape.block_size(), spec.block_size());
+  EXPECT_EQ(res.chunks, (res.meta.num_blocks + batch - 1) / batch);
 }
 
 TEST_F(EriPipelineTest, DumpMatchesDenseDatasetPathByteForByte) {
@@ -412,114 +381,6 @@ TEST_F(EriPipelineTest, PipelineMetricsAdvance) {
   EXPECT_GE(res.overlap_efficiency, 0.0);
   EXPECT_LE(res.overlap_efficiency, 1.0);
   EXPECT_EQ(res.bytes_written, sink.bytes().size());
-}
-
-// ------------------------------------------------ multi-producer compute
-
-TEST_F(EriPipelineTest, MultiProducerStreamBytesIdenticalAcrossMatrix) {
-  // The chunk stream is claimed dynamically and reordered on the
-  // consumer side, so the container bytes must not depend on the
-  // producer count, the OpenMP width inside each producer, or the queue
-  // depth -- only the sequential golden bytes exist.
-  Params p;
-  qc::EriPipelineOptions seq;
-  seq.pipelined = false;
-  seq.async_io = false;
-  const auto golden = stream_bytes(p, seq);
-  ASSERT_FALSE(golden.empty());
-
-  const int max_threads = omp_get_max_threads();
-  for (const int threads : {1, max_threads}) {
-    omp_set_num_threads(threads);
-    for (const std::size_t producers :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      for (const std::size_t depth : {std::size_t{1}, std::size_t{3}}) {
-        qc::EriPipelineOptions popt;
-        popt.producers = producers;
-        popt.queue_depth = depth;
-        popt.batch_blocks = 3;  // 24 blocks -> 8 chunks to interleave
-        EXPECT_EQ(stream_bytes(p, popt), golden)
-            << "threads=" << threads << " producers=" << producers
-            << " depth=" << depth;
-      }
-    }
-  }
-  omp_set_num_threads(max_threads);
-}
-
-TEST_F(EriPipelineTest, MultiProducerReportsPerProducerStats) {
-  Params p;
-  qc::EriPipelineOptions popt;
-  popt.producers = 3;
-  popt.batch_blocks = 2;  // 24 blocks -> 12 chunks across 3 producers
-  VectorSink sink;
-  const qc::EriPipelineResult res =
-      qc::compress_eri_stream(mol_, opt_, p, sink, popt);
-  ASSERT_EQ(res.producers.size(), 3u);
-  std::size_t chunks = 0;
-  std::uint64_t busy = 0, stalled = 0;
-  for (const qc::EriProducerStats& ps : res.producers) {
-    chunks += ps.chunks;
-    busy += ps.compute_ns;
-    stalled += ps.stall_ns;
-  }
-  // Every chunk is computed by exactly one producer, and the aggregate
-  // stage numbers are the per-producer sums.
-  EXPECT_EQ(chunks, res.chunks);
-  EXPECT_EQ(res.chunks, 12u);
-  EXPECT_EQ(busy, res.compute_ns);
-  EXPECT_EQ(stalled, res.compute_stall_ns);
-  EXPECT_GT(busy, 0u);
-
-  // The sequential path reports no per-producer breakdown.
-  qc::EriPipelineOptions seq;
-  seq.pipelined = false;
-  VectorSink sink2;
-  EXPECT_TRUE(
-      qc::compress_eri_stream(mol_, opt_, p, sink2, seq).producers.empty());
-  EXPECT_EQ(sink2.bytes(), sink.bytes());
-}
-
-TEST_F(EriPipelineTest, MultiProducerDumpShardsByteIdentical) {
-  // dump_eri_sharded with N producers writes the same shard files and
-  // manifest as the single-producer dump, byte for byte.
-  Params p;
-  constexpr int kShards = 3;
-  qc::EriDumpOptions dopt;
-  dopt.num_shards = kShards;
-  qc::EriPipelineOptions one;
-  one.producers = 1;
-  qc::dump_eri_sharded(mol_, opt_, p, dir_, "p1", dopt, one);
-
-  for (const std::size_t producers : {std::size_t{2}, std::size_t{4}}) {
-    qc::EriPipelineOptions popt;
-    popt.producers = producers;
-    const std::string base = "p" + std::to_string(producers);
-    const qc::EriDumpResult res =
-        qc::dump_eri_sharded(mol_, opt_, p, dir_, base, dopt, popt);
-    EXPECT_EQ(res.shards_total, static_cast<std::size_t>(kShards));
-    for (int s = 0; s < kShards; ++s) {
-      const std::string suffix = "." + std::to_string(s);
-      EXPECT_EQ(slurp(dir_ + "/" + base + suffix),
-                slurp(dir_ + "/p1" + suffix))
-          << "producers=" << producers << " shard " << s;
-    }
-    EXPECT_EQ(slurp(dir_ + "/" + base + ".manifest"),
-              slurp(dir_ + "/p1.manifest"))
-        << "producers=" << producers;
-  }
-}
-
-TEST_F(EriPipelineTest, MoreProducersThanChunksStillCompletes) {
-  // Degenerate oversubscription: producers that find the stream already
-  // fully claimed must hand their buffer back and exit cleanly.
-  Params p;
-  qc::EriPipelineOptions popt;
-  popt.producers = 6;
-  popt.batch_blocks = 12;  // 24 blocks -> only 2 chunks for 6 producers
-  qc::EriPipelineOptions seq;
-  seq.pipelined = false;
-  EXPECT_EQ(stream_bytes(p, popt), stream_bytes(p, seq));
 }
 
 // ------------------------------------------------- solvers off the store
