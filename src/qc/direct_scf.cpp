@@ -4,8 +4,6 @@
 #include <stdexcept>
 
 #include "qc/compressed_eri_store.h"
-#include "qc/one_electron.h"
-#include "qc/sto3g.h"
 
 namespace pastri::qc {
 
@@ -40,8 +38,9 @@ Matrix DirectFockBuilder::build_g(const Matrix& density) const {
 
   EriWorkspace ws;
   std::vector<double> block;
-  layout.for_each_quartet([&](std::size_t sa, std::size_t sb, std::size_t sc,
-                              std::size_t sd) {
+  layout.for_each_canonical_quartet([&](std::size_t sa, std::size_t sb,
+                                        std::size_t sc, std::size_t sd,
+                                        int deg) {
     if (plan_.schwarz(sa, sb) * plan_.schwarz(sc, sd) * dmax < threshold_) {
       ++last_screened_;
       return;
@@ -56,101 +55,36 @@ Matrix DirectFockBuilder::build_g(const Matrix& density) const {
       plan_.compute(sa, sb, sc, sd, ws, block);
       blk = block.data();
     }
-    // Coulomb: (mu nu | la si) D_{si la}; exchange: -1/2 (mu nu | la si)
-    // D_{nu la} into G_{mu si}.
+    // Each element stands for its images in the `deg` ordered quartets:
+    // for a symmetric D, one Coulomb/exchange scatter weighted by deg/2,
+    // then symmetrizing G, sums J(D) - K(D)/2 over all of them.
+    const double w = 0.5 * deg;
     layout.for_each_element(
         sa, sb, sc, sd, blk,
         [&](std::size_t mu, std::size_t nu, std::size_t la, std::size_t si,
             double v) {
-          g(mu, nu) += v * density(si, la);
-          g(mu, si) -= 0.5 * v * density(nu, la);
+          const double x = w * v, xk = 0.25 * x;
+          g(mu, nu) += x * density(la, si);
+          g(la, si) += x * density(mu, nu);
+          g(mu, la) -= xk * density(nu, si);
+          g(nu, si) -= xk * density(mu, la);
+          g(mu, si) -= xk * density(nu, la);
+          g(nu, la) -= xk * density(mu, si);
         });
   });
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      g(i, j) = g(j, i) = 0.5 * (g(i, j) + g(j, i));
+    }
+  }
   return g;
 }
-
-namespace {
-
-/// The SCF fixed-point loop shared by the recompute and decompress
-/// arms: identical logic, only the G(D) source differs.
-ScfResult run_rhf_with_builder(const Molecule& mol, const BasisSet& basis,
-                               const ScfOptions& opt,
-                               const DirectFockBuilder& builder) {
-  const std::size_t n = basis.num_basis_functions();
-  const int nelec = electron_count(mol);
-  if (nelec % 2 != 0) {
-    throw std::invalid_argument("RHF requires a closed shell");
-  }
-  const std::size_t nocc = static_cast<std::size_t>(nelec / 2);
-
-  const Matrix S = overlap_matrix(basis);
-  const Matrix H = core_hamiltonian(basis, mol);
-  const Matrix X = symmetric_orthogonalizer(S);
-
-  ScfResult res;
-  res.nuclear_repulsion = nuclear_repulsion(mol);
-
-  auto build_density = [&](const Matrix& F) {
-    const Matrix Fp = X.transpose() * F * X;
-    const EigenResult eig = jacobi_eigensolver(Fp);
-    const Matrix C = X * eig.eigenvectors;
-    res.mo_coefficients = C;
-    res.orbital_energies = eig.eigenvalues;
-    Matrix Dn(n);
-    for (std::size_t mu = 0; mu < n; ++mu) {
-      for (std::size_t nu = 0; nu < n; ++nu) {
-        double sum = 0.0;
-        for (std::size_t i = 0; i < nocc; ++i) {
-          sum += C(mu, i) * C(nu, i);
-        }
-        Dn(mu, nu) = 2.0 * sum;
-      }
-    }
-    return Dn;
-  };
-
-  Matrix D = build_density(H);
-  double e_prev = 0.0;
-  for (int iter = 1; iter <= opt.max_iterations; ++iter) {
-    const Matrix F = H + builder.build_g(D);
-    double e_elec = 0.0;
-    for (std::size_t mu = 0; mu < n; ++mu) {
-      for (std::size_t nu = 0; nu < n; ++nu) {
-        e_elec += 0.5 * D(nu, mu) * (H(mu, nu) + F(mu, nu));
-      }
-    }
-    Matrix D_new = build_density(F);
-    const double dD = D_new.max_abs_diff(D);
-    const double dE = std::abs(e_elec - e_prev);
-    e_prev = e_elec;
-    if (iter > 1 && opt.density_mixing > 0.0) {
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          D_new(i, j) = opt.density_mixing * D(i, j) +
-                        (1.0 - opt.density_mixing) * D_new(i, j);
-        }
-      }
-    }
-    D = D_new;
-    res.iterations = iter;
-    res.electronic_energy = e_elec;
-    res.total_energy = e_elec + res.nuclear_repulsion;
-    if (iter > 1 && dE < opt.energy_tolerance &&
-        dD < opt.density_tolerance) {
-      res.converged = true;
-      break;
-    }
-  }
-  res.density = D;
-  return res;
-}
-
-}  // namespace
 
 ScfResult run_rhf_direct(const Molecule& mol, const BasisSet& basis,
                          const ScfOptions& opt, double screen_threshold) {
   const DirectFockBuilder builder(basis, screen_threshold);
-  return run_rhf_with_builder(mol, basis, opt, builder);
+  return run_rhf(
+      mol, basis, [&](const Matrix& d) { return builder.build_g(d); }, opt);
 }
 
 ScfResult run_rhf_from_store(const Molecule& mol, const BasisSet& basis,
@@ -158,7 +92,8 @@ ScfResult run_rhf_from_store(const Molecule& mol, const BasisSet& basis,
                              const ScfOptions& opt,
                              double screen_threshold) {
   const DirectFockBuilder builder(basis, store, screen_threshold);
-  return run_rhf_with_builder(mol, basis, opt, builder);
+  return run_rhf(
+      mol, basis, [&](const Matrix& d) { return builder.build_g(d); }, opt);
 }
 
 }  // namespace pastri::qc

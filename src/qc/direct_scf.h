@@ -12,6 +12,8 @@
 // compressed streams (LRU-cached single-block decodes) instead of
 // recomputing them -- the paper's "decompress whenever it is needed
 // again" arm, without ever materializing the dense tensor.
+// Either way a build visits only the canonical shell quartets (a >= b,
+// c >= d, ab >= cd), each scattered once weighted by its degeneracy.
 #pragma once
 
 #include "qc/quartet_plan.h"
@@ -35,14 +37,18 @@ class DirectFockBuilder {
   DirectFockBuilder(const BasisSet& basis, const CompressedEriStore& store,
                     double screen_threshold = 1e-12);
 
-  /// G(D): the two-electron part of the Fock matrix for density D,
-  /// built by recomputing (or decompressing) every surviving quartet.
+  /// G(D) = J(D) - K(D)/2: the two-electron part of the Fock matrix
+  /// for density D, built by recomputing (or decompressing) every
+  /// surviving canonical quartet once.  D must be symmetric (SCF
+  /// densities are): the symmetry-weighted scatter relies on it.
   Matrix build_g(const Matrix& density) const;
 
-  /// Number of shell quartets skipped by screening in the last build.
+  /// Canonical shell quartets skipped by screening in the last build,
+  /// out of total_quartets() = P (P + 1) / 2 for P = ns (ns + 1) / 2.
   std::size_t last_screened() const { return last_screened_; }
   std::size_t total_quartets() const {
-    return plan_.layout().num_quartets();
+    const std::size_t ns = plan_.layout().num_shells();
+    return ns * (ns + 1) / 2 * (ns * (ns + 1) / 2 + 1) / 2;
   }
 
  private:

@@ -153,26 +153,45 @@ Mp2Result run_mp2_from_store(const Molecule& mol, const BasisSet& basis,
   }
   const Matrix& c = scf.mo_coefficients;
 
-  auto idx = [n](std::size_t a, std::size_t b, std::size_t d,
-                 std::size_t e) {
-    return ((a * n + b) * n + d) * n + e;
-  };
-
-  // First quarter transformation, streamed: each AO shell-quartet block
-  // is decoded from the store once and scatter-accumulated over all MOs
-  // p -- the dense AO tensor never exists.  Same O(n^5) work as the
-  // dense first quarter, O(n^4 + block) memory.
+  // First quarter transformation, streamed: each canonical AO
+  // shell-quartet block is decoded from the store once and every index
+  // image of its symmetry-unique elements is scatter-accumulated over
+  // all MOs p -- the dense AO tensor never exists.  Same O(n^5) work as
+  // the dense first quarter, O(n^4 + block) memory.
   EriTensor t1(n * n * n * n, 0.0);
-  layout.for_each_quartet([&](std::size_t sp, std::size_t sq, std::size_t su,
-                              std::size_t sv) {
+  const auto scatter = [&](std::size_t mu, std::size_t nu, std::size_t la,
+                           std::size_t si, double val) {
+    for (std::size_t p = 0; p < n; ++p) {
+      t1[((p * n + nu) * n + la) * n + si] += c(mu, p) * val;
+    }
+  };
+  layout.for_each_canonical_quartet([&](std::size_t sp, std::size_t sq,
+                                        std::size_t su, std::size_t sv,
+                                        int /*deg*/) {
+    const bool same_bra = sp == sq, same_ket = su == sv;
+    const bool same_pairs = sp == su && sq == sv;
     const auto block = store.shell_block(sp, sq, su, sv);
     layout.for_each_element(
         sp, sq, su, sv, block->data(),
         [&](std::size_t mu, std::size_t nu, std::size_t la, std::size_t si,
             double val) {
-          if (val == 0.0) return;
-          for (std::size_t p = 0; p < n; ++p) {
-            t1[idx(p, nu, la, si)] += c(mu, p) * val;
+          // Where shell pairs coincide the block holds the element's
+          // images too: keep one representative, then scatter each of
+          // its distinct images (bra swapped, ket swapped, bra <-> ket).
+          if ((same_bra && mu < nu) || (same_ket && la < si) ||
+              (same_pairs && (mu < la || (mu == la && nu < si))) ||
+              val == 0.0) {
+            return;
+          }
+          const std::size_t bra[2][2] = {{mu, nu}, {nu, mu}};
+          const std::size_t ket[2][2] = {{la, si}, {si, la}};
+          for (int b = 0; b < (mu == nu ? 1 : 2); ++b) {
+            for (int k = 0; k < (la == si ? 1 : 2); ++k) {
+              scatter(bra[b][0], bra[b][1], ket[k][0], ket[k][1], val);
+              if (mu != la || nu != si) {
+                scatter(ket[k][0], ket[k][1], bra[b][0], bra[b][1], val);
+              }
+            }
           }
         });
   });

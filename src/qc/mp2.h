@@ -31,8 +31,9 @@ Mp2Result run_mp2(const Molecule& mol, const BasisSet& basis,
 EriTensor transform_eri_to_mo(const EriTensor& eri_ao, const Matrix& c);
 
 /// MP2 entirely off the compressed stream: the first quarter
-/// transformation consumes AO shell-quartet blocks straight from the
-/// store (each within the error bound), scatter-accumulating into the
+/// transformation reads each canonical AO shell-quartet block from the
+/// store once (each within the error bound) and scatter-accumulates
+/// every index image of its symmetry-unique elements into the
 /// half-transformed tensor, so the dense AO ERI tensor is never
 /// materialized.  Quarters two to four and the energy sum are the same
 /// code `run_mp2` runs; with an exact store the two agree to within the

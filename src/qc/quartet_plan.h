@@ -1,12 +1,12 @@
 // quartet_plan.h - The one shell-quartet path: every ERI block is
 // computed here.
 //
-// The dense ERI tensor, the compressed store, the direct Fock build and
-// store-backed MP2 all walk the same ns^4 ordered shell quartets of a
-// BasisSet; the paper-dataset generator (eri_engine.h) samples quartets
-// of one too.  `ShellLayout` is where each shell sits in basis-function
+// The dense ERI tensor and the compressed store walk the ns^4 ordered
+// shell quartets of a BasisSet, the direct Fock build and store-backed
+// MP2 its canonical ones; the dataset generator (eri_engine.h) samples
+// ordered ones.  `ShellLayout` is where each shell sits in basis-function
 // index space (offsets, widths, momenta, centers) and the one place that
-// enumerates the ordered quartets; `QuartetPlan` adds the integral side:
+// enumerates quartets; `QuartetPlan` adds the integral side:
 // every shell pair's ShellPairData, built once (OpenMP across pairs) and
 // kept at each R stride its quartets need, plus the Schwarz table.  Both
 // are immutable after construction; computing a block needs only a
@@ -70,6 +70,21 @@ class ShellLayout {
       for (std::size_t b = 0; b < ns; ++b)
         for (std::size_t c = 0; c < ns; ++c)
           for (std::size_t d = 0; d < ns; ++d) f(a, b, c, d);
+  }
+
+  /// Call f(a, b, c, d, deg) for every canonical shell quartet (a >= b,
+  /// c >= d, pair ab >= pair cd); deg (1, 2, 4 or 8) counts the ordered
+  /// quartets it stands for under 8-fold permutational symmetry.
+  template <typename F>
+  void for_each_canonical_quartet(F&& f) const {
+    const std::size_t ns = num_shells();
+    for (std::size_t a = 0; a < ns; ++a)
+      for (std::size_t b = 0; b <= a; ++b)
+        for (std::size_t c = 0; c <= a; ++c)
+          for (std::size_t d = 0; d <= (c == a ? b : c); ++d)
+            f(a, b, c, d,
+              (a == b ? 1 : 2) * (c == d ? 1 : 2) *
+                  (a == c && b == d ? 1 : 2));
   }
 
   /// Call f(mu, nu, la, si, value) for every element of the (a b|c d)

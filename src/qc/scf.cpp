@@ -96,6 +96,33 @@ ScfResult run_rhf(const Molecule& mol, const BasisSet& basis,
   if (eri.size() != n * n * n * n) {
     throw std::invalid_argument("RHF: ERI tensor size mismatch");
   }
+  auto eri_at = [&](std::size_t mu, std::size_t nu, std::size_t la,
+                    std::size_t si) {
+    return eri[((mu * n + nu) * n + la) * n + si];
+  };
+  const auto g_of_d = [&](const Matrix& D) {
+    Matrix G(n);
+    for (std::size_t mu = 0; mu < n; ++mu) {
+      for (std::size_t nu = 0; nu < n; ++nu) {
+        double g = 0.0;
+        for (std::size_t la = 0; la < n; ++la) {
+          for (std::size_t si = 0; si < n; ++si) {
+            g += D(la, si) * (eri_at(mu, nu, si, la) -
+                              0.5 * eri_at(mu, la, si, nu));
+          }
+        }
+        G(mu, nu) = g;
+      }
+    }
+    return G;
+  };
+  return run_rhf(mol, basis, g_of_d, opt);
+}
+
+ScfResult run_rhf(const Molecule& mol, const BasisSet& basis,
+                  const std::function<Matrix(const Matrix&)>& g_of_d,
+                  const ScfOptions& opt) {
+  const std::size_t n = basis.num_basis_functions();
   const int nelec = electron_count(mol);
   if (nelec % 2 != 0) {
     throw std::invalid_argument("RHF requires a closed shell (even "
@@ -113,11 +140,6 @@ ScfResult run_rhf(const Molecule& mol, const BasisSet& basis,
 
   ScfResult res;
   res.nuclear_repulsion = nuclear_repulsion(mol);
-
-  auto eri_at = [&](std::size_t mu, std::size_t nu, std::size_t la,
-                    std::size_t si) {
-    return eri[((mu * n + nu) * n + la) * n + si];
-  };
 
   // Density from the core-Hamiltonian guess.
   Matrix D(n);
@@ -145,19 +167,7 @@ ScfResult run_rhf(const Molecule& mol, const BasisSet& basis,
   double e_prev = 0.0;
   for (int iter = 1; iter <= opt.max_iterations; ++iter) {
     // Fock build: F = H + G(D).
-    Matrix F = H;
-    for (std::size_t mu = 0; mu < n; ++mu) {
-      for (std::size_t nu = 0; nu < n; ++nu) {
-        double g = 0.0;
-        for (std::size_t la = 0; la < n; ++la) {
-          for (std::size_t si = 0; si < n; ++si) {
-            g += D(la, si) * (eri_at(mu, nu, si, la) -
-                              0.5 * eri_at(mu, la, si, nu));
-          }
-        }
-        F(mu, nu) += g;
-      }
-    }
+    Matrix F = H + g_of_d(D);
 
     if (opt.use_diis) {
       // DIIS error vector in the orthonormal basis.

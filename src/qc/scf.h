@@ -31,7 +31,7 @@ struct ScfOptions {
   double energy_tolerance = 1e-10;   ///< Hartree
   double density_tolerance = 1e-8;   ///< max |dD|
   double density_mixing = 0.4;       ///< fraction of old D retained
-                                     ///< (only when DIIS is off)
+                                     ///< (any RHF entry, DIIS off)
   bool use_diis = true;              ///< Pulay DIIS Fock extrapolation
   std::size_t diis_max_vectors = 6;  ///< DIIS history depth
 };
@@ -51,6 +51,14 @@ struct ScfResult {
 /// Throws std::invalid_argument for an odd electron count.
 ScfResult run_rhf(const Molecule& mol, const BasisSet& basis,
                   const EriTensor& eri, const ScfOptions& opt = {});
+
+/// The RHF loop every RHF entry point runs (dense, direct, from store):
+/// F = H + G(D), G(D) = J(D) - K(D)/2 from `g_of_d` (always passed a
+/// symmetric D).  Also throws when occupied orbitals outnumber basis
+/// functions.
+ScfResult run_rhf(const Molecule& mol, const BasisSet& basis,
+                  const std::function<Matrix(const Matrix&)>& g_of_d,
+                  const ScfOptions& opt = {});
 
 struct UhfResult {
   bool converged = false;

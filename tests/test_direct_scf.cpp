@@ -30,32 +30,117 @@ Molecule h2_molecule() {
   return m;
 }
 
+/// Staggered methanol, CH3-OH (Angstrom): p shells on C and O.
+Molecule methanol_molecule() {
+  Molecule m;
+  m.name = "methanol";
+  m.atoms = {{"C", 6, {-0.0465, 0.6633, 0.0}},
+             {"O", 8, {-0.0465, -0.7553, 0.0}},
+             {"H", 1, {-1.0863, 0.9766, 0.0}},
+             {"H", 1, {0.4378, 1.0709, 0.8900}},
+             {"H", 1, {0.4378, 1.0709, -0.8900}},
+             {"H", 1, {0.8614, -1.0558, 0.0}}};
+  for (Atom& a : m.atoms) {
+    for (double& x : a.position) x *= kAngstromToBohr;
+  }
+  return m;
+}
+
 TEST(DirectScf, GMatrixMatchesDenseTensor) {
+  // Methanol has p shells on two centers, so the canonical scatter's
+  // diagonal shell pairs of width 3 are exercised on both.
+  for (const Molecule& mol : {h2o_molecule(), methanol_molecule()}) {
+    const BasisSet basis = make_sto3g_basis(mol);
+    const std::size_t n = basis.num_basis_functions();
+    const EriTensor eri = compute_eri_tensor(basis);
+    const ScfResult ref = run_rhf(mol, basis, eri);
+    ASSERT_TRUE(ref.converged) << mol.name;
+
+    // G(D) from the direct builder vs from the dense tensor at the
+    // converged density.
+    const DirectFockBuilder builder(basis, 0.0);  // no screening
+    const Matrix g_direct = builder.build_g(ref.density);
+    Matrix g_dense(n);
+    for (std::size_t mu = 0; mu < n; ++mu) {
+      for (std::size_t nu = 0; nu < n; ++nu) {
+        double g = 0.0;
+        for (std::size_t la = 0; la < n; ++la) {
+          for (std::size_t si = 0; si < n; ++si) {
+            g += ref.density(la, si) *
+                 (eri[((mu * n + nu) * n + si) * n + la] -
+                  0.5 * eri[((mu * n + la) * n + si) * n + nu]);
+          }
+        }
+        g_dense(mu, nu) = g;
+      }
+    }
+    EXPECT_LT(g_direct.max_abs_diff(g_dense), 1e-11) << mol.name;
+  }
+}
+
+TEST(DirectScf, FockBuildAndMp2ReadEachCanonicalQuartetOnce) {
+  // H2O/STO-3G: 5 shells, 15 shell pairs a >= b, 120 canonical quartets
+  // standing for 625 ordered ones.
   const Molecule mol = h2o_molecule();
   const BasisSet basis = make_sto3g_basis(mol);
-  const std::size_t n = basis.num_basis_functions();
-  const EriTensor eri = compute_eri_tensor(basis);
-  const ScfResult ref = run_rhf(mol, basis, eri);
+  const ShellLayout layout(basis);
+  std::size_t canonical = 0, ordered = 0;
+  layout.for_each_canonical_quartet(
+      [&](std::size_t, std::size_t, std::size_t, std::size_t, int deg) {
+        ++canonical;
+        ordered += static_cast<std::size_t>(deg);
+      });
+  EXPECT_EQ(canonical, 120u);
+  EXPECT_EQ(ordered, layout.num_quartets());
 
-  // G(D) from the direct builder vs from the dense tensor at the
-  // converged density.
-  const DirectFockBuilder builder(basis, 0.0);  // no screening
-  const Matrix g_direct = builder.build_g(ref.density);
-  Matrix g_dense(n);
-  for (std::size_t mu = 0; mu < n; ++mu) {
-    for (std::size_t nu = 0; nu < n; ++nu) {
-      double g = 0.0;
-      for (std::size_t la = 0; la < n; ++la) {
-        for (std::size_t si = 0; si < n; ++si) {
-          g += ref.density(la, si) *
-               (eri[((mu * n + nu) * n + si) * n + la] -
-                0.5 * eri[((mu * n + la) * n + si) * n + nu]);
-        }
-      }
-      g_dense(mu, nu) = g;
-    }
-  }
-  EXPECT_LT(g_direct.max_abs_diff(g_dense), 1e-11);
+  Params p;
+  CompressedEriStore store(basis, p);
+  store.set_cache({0, 1});  // every read decodes
+  const DirectFockBuilder builder(basis, store, 0.0);
+  EXPECT_EQ(builder.total_quartets(), 120u);
+  const ScfResult scf = run_rhf(mol, basis, compute_eri_tensor(basis));
+  ASSERT_TRUE(scf.converged);
+
+  CacheStats before = store.cache_stats();
+  builder.build_g(scf.density);
+  CacheStats after = store.cache_stats();
+  EXPECT_EQ(builder.last_screened(), 0u);
+  EXPECT_EQ(after.misses - before.misses, 120u);
+  EXPECT_EQ(after.hits, before.hits);
+
+  before = after;
+  run_mp2_from_store(mol, basis, store, scf);
+  after = store.cache_stats();
+  EXPECT_EQ(after.misses - before.misses, 120u);
+  EXPECT_EQ(after.hits, before.hits);
+}
+
+TEST(DirectScf, EveryRhfEntryPointHonoursDiis) {
+  // All three RHF entry points run one loop: with DIIS on (the default)
+  // the direct and store-backed solves take the dense solve's iteration
+  // count; with it off they fall back to density mixing and take more.
+  const Molecule mol = h2o_molecule();
+  const BasisSet basis = make_sto3g_basis(mol);
+  Params p;
+  const CompressedEriStore store(basis, p);
+  const ScfResult dense = run_rhf(mol, basis, compute_eri_tensor(basis));
+  ASSERT_TRUE(dense.converged);
+  const ScfResult direct = run_rhf_direct(mol, basis);
+  const ScfResult stored = run_rhf_from_store(mol, basis, store);
+  ASSERT_TRUE(direct.converged);
+  ASSERT_TRUE(stored.converged);
+  EXPECT_EQ(direct.iterations, dense.iterations);
+  EXPECT_EQ(stored.iterations, dense.iterations);
+
+  ScfOptions plain;
+  plain.use_diis = false;
+  const ScfResult direct_plain = run_rhf_direct(mol, basis, plain);
+  const ScfResult stored_plain = run_rhf_from_store(mol, basis, store, plain);
+  ASSERT_TRUE(direct_plain.converged);
+  ASSERT_TRUE(stored_plain.converged);
+  EXPECT_GT(direct_plain.iterations, dense.iterations);
+  EXPECT_GT(stored_plain.iterations, dense.iterations);
+  EXPECT_NEAR(direct_plain.total_energy, dense.total_energy, 1e-7);
 }
 
 TEST(DirectScf, EnergyMatchesTensorScf) {
