@@ -29,38 +29,37 @@ CompressedEriStore::CompressedEriStore(const BasisSet& basis,
     : layout_(basis), block_of_(layout_.num_quartets()) {
   // Pass 1: group quartets by configuration class.  No integrals yet --
   // this only fixes each class's block spec and every quartet's ordinal
-  // in its class stream.
-  layout_.for_each_quartet([&](std::size_t a, std::size_t b, std::size_t c,
-                               std::size_t d) {
-    const std::array<int, 4> cls{layout_.momentum(a), layout_.momentum(b),
-                                 layout_.momentum(c), layout_.momentum(d)};
+  // in its class stream (flat-index order within the class).
+  const std::vector<std::array<int, 4>> classes = layout_.quartet_classes();
+  for (const std::array<int, 4>& cls : classes) {
     ClassData& cd = streams_[cls];
-    if (cd.num_blocks == 0) {
-      cd.spec.num_sub_blocks = layout_.width(a) * layout_.width(b);
-      cd.spec.sub_block_size = layout_.width(c) * layout_.width(d);
-    }
-    block_of_[layout_.quartet_index(a, b, c, d)] = {&cd, cd.num_blocks++};
-  });
+    layout_.for_each_quartet_in_class(
+        cls, [&](std::size_t a, std::size_t b, std::size_t c, std::size_t d) {
+          if (cd.num_blocks == 0) {
+            cd.spec.num_sub_blocks = layout_.width(a) * layout_.width(b);
+            cd.spec.sub_block_size = layout_.width(c) * layout_.width(d);
+          }
+          block_of_[layout_.quartet_index(a, b, c, d)] = {&cd,
+                                                          cd.num_blocks++};
+        });
+  }
 
-  // Pass 2: compute -> compress each class on the fly.  Every quartet
-  // block goes from the plan straight into the class's StreamWriter
-  // through one reusable buffer, so the write side never holds a dense
-  // per-class tensor (peak memory O(encode batch)).
+  // Pass 2: compute -> compress each class on the fly.  The plan computes
+  // the class's quartets in ordinal order, one parallel batch at a time,
+  // and each batch goes straight into the class's StreamWriter, so the
+  // write side holds O(batch) blocks, never a dense per-class tensor.
   const QuartetPlan plan(basis);
-  EriWorkspace ws;
-  std::vector<double> block;
-  for (auto& [cls, cd] : streams_) {
+  for (const std::array<int, 4>& cls : classes) {
+    ClassData& cd = streams_.at(cls);
     VectorSink sink;
     StreamWriter writer(
         sink, cd.spec, params,
         StreamWriterOptions{.expected_blocks = cd.num_blocks});
-    block.resize(cd.spec.block_size());
-    layout_.for_each_quartet([&](std::size_t a, std::size_t b, std::size_t c,
-                                 std::size_t d) {
-      if (block_of_[layout_.quartet_index(a, b, c, d)].cls != &cd) return;
-      plan.compute(a, b, c, d, ws, block);
-      writer.put_block(block);
-    });
+    plan.compute_class(cls, params.num_threads,
+                       [&](std::span<const Quartet>,
+                           std::span<const double> blocks) {
+                         writer.put_values(blocks);
+                       });
     writer.finish();
     uncompressed_bytes_ += writer.stats().input_bytes;
     cd.stream = sink.take();
@@ -94,16 +93,17 @@ EriTensor CompressedEriStore::materialize() const {
   EriTensor eri(n * n * n * n, 0.0);
   for (const auto& [cls, cd] : streams_) {
     const std::vector<double> values = decompress(cd.stream);
-    const std::size_t bs = cd.spec.block_size();
-    layout_.for_each_quartet([&](std::size_t a, std::size_t b, std::size_t c,
-                                 std::size_t d) {
-      const BlockRef& ref = block_of_[layout_.quartet_index(a, b, c, d)];
-      if (ref.cls != &cd) return;
-      layout_.for_each_element(
-          a, b, c, d, values.data() + ref.ordinal * bs,
-          [&](std::size_t mu, std::size_t nu, std::size_t la, std::size_t si,
-              double val) { eri[((mu * n + nu) * n + la) * n + si] = val; });
-    });
+    const double* blk = values.data();
+    layout_.for_each_quartet_in_class(
+        cls, [&](std::size_t a, std::size_t b, std::size_t c, std::size_t d) {
+          layout_.for_each_element(
+              a, b, c, d, blk,
+              [&](std::size_t mu, std::size_t nu, std::size_t la,
+                  std::size_t si, double val) {
+                eri[((mu * n + nu) * n + la) * n + si] = val;
+              });
+          blk += cd.spec.block_size();
+        });
   }
   return eri;
 }

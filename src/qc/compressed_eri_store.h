@@ -30,9 +30,12 @@ namespace pastri::qc {
 class CompressedEriStore {
  public:
   /// Compute all shell-quartet blocks of `basis` and compress them,
-  /// one PaSTRI stream per quartet class.  Blocks are piped from the
-  /// integral engine straight into each class's StreamWriter, so the
-  /// write side never allocates a dense per-class tensor.
+  /// one PaSTRI stream per quartet class.  Each class is computed in
+  /// parallel batches (QuartetPlan::compute_class, `params.num_threads`
+  /// threads, 0 = the OpenMP default) that go straight into the class's
+  /// StreamWriter, so write-side memory is O(batch): no dense per-class
+  /// tensor and no list of all quartets.  The streams are the same bytes
+  /// for any thread count.
   CompressedEriStore(const BasisSet& basis, const Params& params);
 
   /// Decompress everything into the dense (mu nu | la si) tensor.

@@ -33,14 +33,6 @@ const EngineMetrics& engine_metrics() {
   return m;
 }
 
-/// One reusable quartet workspace per OS thread.  OpenMP teams spawned
-/// by different host threads run on disjoint OS threads, so concurrent
-/// compute_range calls never share one.
-EriWorkspace& tls_workspace() {
-  thread_local EriWorkspace ws;
-  return ws;
-}
-
 /// Sample `k` distinct values from [0, n) deterministically; returned
 /// sorted so the dataset block order is stable across runs.
 std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k,
@@ -64,13 +56,6 @@ std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k,
   std::sort(out.begin(), out.end());
   return out;
 }
-
-/// One sampled quartet, post-screening, as shell indices into the
-/// plan's union basis.
-struct Item {
-  std::size_t i, j, k, l;
-  bool screened;
-};
 
 /// The shells of the four configuration slots as one BasisSet: the
 /// make_basis shells of each distinct slot momentum, in first-slot
@@ -115,11 +100,12 @@ SlotBasis slot_basis(const Molecule& mol, const DatasetOptions& opt) {
 
 /// Everything `generate_eri_dataset` decides before computing a single
 /// integral: the quartet plan over the slots' shells (pairs and Schwarz
-/// table), the surviving sample, and the dataset metadata.  Immutable
+/// table), the surviving sample as shell indices into the plan's union
+/// basis (screened quartets skipped), and the dataset metadata.  Immutable
 /// once built, so concurrent readers are safe.
 struct EriPlan {
   QuartetPlan quartets;
-  std::vector<Item> items;
+  std::vector<Quartet> items;
   EriStreamMeta meta;
   BoysMode boys_mode = BoysMode::Exact;
 };
@@ -152,17 +138,17 @@ EriPlan plan_eri(const Molecule& mol, const DatasetOptions& opt) {
   // Decide which sampled quartets survive screening.
   plan.items.reserve(indices.size());
   for (std::size_t flat : indices) {
-    Item it;
-    it.l = sb.first[3] + flat % n[3];
+    Quartet it;
+    it.d = sb.first[3] + flat % n[3];
     flat /= n[3];
-    it.k = sb.first[2] + flat % n[2];
+    it.c = sb.first[2] + flat % n[2];
     flat /= n[2];
-    it.j = sb.first[1] + flat % n[1];
-    it.i = sb.first[0] + flat / n[1];
-    it.screened = plan.quartets.schwarz(it.i, it.j) *
-                      plan.quartets.schwarz(it.k, it.l) <
-                  opt.screen_threshold;
-    if (it.screened && !opt.keep_screened) continue;
+    it.b = sb.first[1] + flat % n[1];
+    it.a = sb.first[0] + flat / n[1];
+    it.skip = plan.quartets.schwarz(it.a, it.b) *
+                  plan.quartets.schwarz(it.c, it.d) <
+              opt.screen_threshold;
+    if (it.skip && !opt.keep_screened) continue;
     plan.items.push_back(it);
   }
   plan.meta.num_blocks = plan.items.size();
@@ -235,31 +221,16 @@ void EriBlockGenerator::compute_range(std::size_t first, std::size_t count,
     throw std::invalid_argument(
         "EriBlockGenerator: output span does not match range size");
   }
-  std::fill(out.begin(), out.end(), 0.0);
   const EngineMetrics& metrics = engine_metrics();
   const bool timed = metrics.generate_batch_ns.active();
   std::chrono::steady_clock::time_point t0;
   if (timed) t0 = std::chrono::steady_clock::now();
-  std::uint64_t boys_total = 0;
-  std::uint64_t computed = 0;
-#pragma omp parallel reduction(+ : boys_total, computed)
-  {
-    EriWorkspace& ws = tls_workspace();
-    ws.boys_mode = plan.boys_mode;
-    const std::uint64_t boys0 = ws.boys_evals;
-#pragma omp for schedule(dynamic)
-    for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(count); ++b) {
-      const Item& it = plan.items[first + static_cast<std::size_t>(b)];
-      if (it.screened) continue;  // stays all-zero
-      const auto blk = out.subspan(static_cast<std::size_t>(b) * bs, bs);
-      plan.quartets.compute(it.i, it.j, it.k, it.l, ws, blk);
-      ++computed;
-    }
-    boys_total += ws.boys_evals - boys0;
-  }
+  const BatchCounts done = plan.quartets.compute_batch(
+      std::span<const Quartet>(plan.items).subspan(first, count), bs,
+      plan.boys_mode, 0, out);
   metrics.quartets.add(count);
-  metrics.boys_evals.add(boys_total);
-  metrics.pair_hits.add(2 * computed);  // bra + ket cache use per quartet
+  metrics.boys_evals.add(done.boys_evals);
+  metrics.pair_hits.add(2 * done.computed);  // bra + ket per quartet
   if (timed) {
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - t0)

@@ -77,11 +77,11 @@ struct EriStreamMeta {
 /// the block range its shard covers, nothing else.
 ///
 /// The plan is a QuartetPlan over the union of the slots' shells, so
-/// every block comes out of QuartetPlan::compute, the one quartet path
-/// the BasisSet consumers use too.  compute_range() is OpenMP-parallel
-/// internally; the plan is immutable after construction and per-quartet
-/// scratch lives in thread-local workspaces, so a const generator may be
-/// used from any thread.
+/// every block comes out of QuartetPlan::compute_batch, the one parallel
+/// compute loop the BasisSet consumers use too.  compute_range() is
+/// OpenMP-parallel through it; the plan is immutable after construction
+/// and per-quartet scratch lives in thread-local workspaces, so a const
+/// generator may be used from any thread.
 class EriBlockGenerator {
  public:
   EriBlockGenerator(const Molecule& mol, const DatasetOptions& opt);

@@ -1,9 +1,37 @@
 #include "qc/quartet_plan.h"
 
+#include <omp.h>
+
 #include <algorithm>
 #include <cstddef>
+#include <stdexcept>
+
+#include "core/stream.h"
+#include "qc/cartesian.h"
 
 namespace pastri::qc {
+namespace {
+
+/// compute_batch's OpenMP schedule chunk, in quartets: 16 small blocks
+/// (STO-3G's s and p classes cost microseconds each), down to one block
+/// once a block holds 256 or more integrals ((dd|dd) and up cost
+/// milliseconds, and 16 of them would hand one thread a quarter of a
+/// whole pipeline chunk).
+std::ptrdiff_t schedule_chunk(std::size_t block_size) {
+  return static_cast<std::ptrdiff_t>(
+      std::clamp<std::size_t>(256 / std::max<std::size_t>(block_size, 1),
+                              1, 16));
+}
+
+/// One reusable quartet workspace per OS thread.  OpenMP teams spawned
+/// by different host threads run on disjoint OS threads, so concurrent
+/// compute_batch calls never share one.
+EriWorkspace& tls_workspace() {
+  thread_local EriWorkspace ws;
+  return ws;
+}
+
+}  // namespace
 
 ShellLayout::ShellLayout(const BasisSet& basis)
     : offset_(basis.shells.size() + 1, 0) {
@@ -16,6 +44,18 @@ ShellLayout::ShellLayout(const BasisSet& basis)
     offset_[s + 1] =
         offset_[s] + static_cast<std::size_t>(sh.num_components());
   }
+}
+
+std::vector<std::array<int, 4>> ShellLayout::quartet_classes() const {
+  std::vector<int> ls = l_;
+  std::sort(ls.begin(), ls.end());
+  ls.erase(std::unique(ls.begin(), ls.end()), ls.end());
+  std::vector<std::array<int, 4>> classes;
+  for (const int la : ls)
+    for (const int lb : ls)
+      for (const int lc : ls)
+        for (const int ld : ls) classes.push_back({la, lb, lc, ld});
+  return classes;
 }
 
 QuartetPlan::QuartetPlan(const BasisSet& basis) : layout_(basis) {
@@ -66,6 +106,69 @@ void QuartetPlan::compute(std::size_t a, std::size_t b, std::size_t c,
   const int bra_l = layout_.momentum(a) + layout_.momentum(b);
   const int ket_l = layout_.momentum(c) + layout_.momentum(d);
   compute_eri_block(pair(a, b, ket_l), pair(c, d, bra_l), ws, out);
+}
+
+BatchCounts QuartetPlan::compute_batch(std::span<const Quartet> batch,
+                                       std::size_t block_size,
+                                       BoysMode boys_mode, int num_threads,
+                                       std::span<double> out) const {
+  if (out.size() != batch.size() * block_size) {
+    throw std::invalid_argument(
+        "QuartetPlan::compute_batch: output span does not match batch");
+  }
+  const auto count = static_cast<std::ptrdiff_t>(batch.size());
+  const std::ptrdiff_t chunk = schedule_chunk(block_size);
+  const int threads = num_threads > 0 ? num_threads : omp_get_max_threads();
+  std::uint64_t computed = 0;
+  std::uint64_t boys_evals = 0;
+#pragma omp parallel if (count > chunk) num_threads(threads) \
+    reduction(+ : computed, boys_evals)
+  {
+    EriWorkspace& ws = tls_workspace();
+    ws.boys_mode = boys_mode;
+    const std::uint64_t boys0 = ws.boys_evals;
+#pragma omp for schedule(dynamic, chunk)
+    for (std::ptrdiff_t i = 0; i < count; ++i) {
+      const Quartet& q = batch[static_cast<std::size_t>(i)];
+      const auto blk =
+          out.subspan(static_cast<std::size_t>(i) * block_size, block_size);
+      if (q.skip) {
+        std::fill(blk.begin(), blk.end(), 0.0);
+        continue;
+      }
+      compute(q.a, q.b, q.c, q.d, ws, blk);
+      ++computed;
+    }
+    boys_evals += ws.boys_evals - boys0;
+  }
+  return {computed, boys_evals};
+}
+
+void QuartetPlan::compute_class(const std::array<int, 4>& cls,
+                                int num_threads,
+                                const BatchFn& on_batch) const {
+  const auto width = [&](std::size_t k) {
+    return static_cast<std::size_t>(num_cartesians(cls[k]));
+  };
+  const BlockSpec spec{.num_sub_blocks = width(0) * width(1),
+                       .sub_block_size = width(2) * width(3)};
+  const std::size_t bs = spec.block_size();
+  const std::size_t cap = auto_batch_blocks(spec, num_threads);
+  std::vector<Quartet> batch;
+  batch.reserve(cap);
+  std::vector<double> values(cap * bs);
+  const auto flush = [&] {
+    const auto blocks = std::span<double>(values).first(batch.size() * bs);
+    compute_batch(batch, bs, BoysMode::Exact, num_threads, blocks);
+    on_batch(batch, blocks);
+    batch.clear();
+  };
+  layout_.for_each_quartet_in_class(
+      cls, [&](std::size_t a, std::size_t b, std::size_t c, std::size_t d) {
+        batch.push_back({a, b, c, d});
+        if (batch.size() == cap) flush();
+      });
+  if (!batch.empty()) flush();
 }
 
 }  // namespace pastri::qc

@@ -2,18 +2,23 @@
 // computed here.
 //
 // The dense ERI tensor and the compressed store walk the ns^4 ordered
-// shell quartets of a BasisSet, the direct Fock build and store-backed
-// MP2 its canonical ones; the dataset generator (eri_engine.h) samples
-// ordered ones.  `ShellLayout` is where each shell sits in basis-function
-// index space (offsets, widths, momenta, centers) and the one place that
-// enumerates quartets; `QuartetPlan` adds the integral side:
-// every shell pair's ShellPairData, built once (OpenMP across pairs) and
-// kept at each R stride its quartets need, plus the Schwarz table.  Both
-// are immutable after construction; computing a block needs only a
-// caller-owned workspace.
+// shell quartets of a BasisSet class by class, the direct Fock build and
+// store-backed MP2 its canonical ones; the dataset generator
+// (eri_engine.h) samples ordered ones.  `ShellLayout` is where each shell
+// sits in basis-function index space (offsets, widths, momenta, centers)
+// and the one place that enumerates quartets; `QuartetPlan` adds the
+// integral side: every shell pair's ShellPairData, built once (OpenMP
+// across pairs) and kept at each R stride its quartets need, plus the
+// Schwarz table.  Both are immutable after construction.  The plan also
+// owns the one parallel compute loop, `compute_batch`: the dataset
+// generator, the store build and the dense tensor all compute their
+// blocks through it, one thread-local workspace per OpenMP worker.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -61,15 +66,23 @@ class ShellLayout {
     return l_ == other.l_ && center_ == other.center_;
   }
 
-  /// Call f(a, b, c, d) for every ordered shell quartet, in flat-index
-  /// order.
+  /// The momentum classes (lA, lB, lC, lD) the ordered quartets fall
+  /// in, ascending.
+  std::vector<std::array<int, 4>> quartet_classes() const;
+
+  /// Call f(a, b, c, d) for every ordered shell quartet of momentum class
+  /// `cls`, in flat-index order.
   template <typename F>
-  void for_each_quartet(F&& f) const {
-    const std::size_t ns = num_shells();
-    for (std::size_t a = 0; a < ns; ++a)
-      for (std::size_t b = 0; b < ns; ++b)
-        for (std::size_t c = 0; c < ns; ++c)
-          for (std::size_t d = 0; d < ns; ++d) f(a, b, c, d);
+  void for_each_quartet_in_class(const std::array<int, 4>& cls,
+                                 F&& f) const {
+    std::array<std::vector<std::size_t>, 4> shells;
+    for (std::size_t k = 0; k < 4; ++k)
+      for (std::size_t s = 0; s < num_shells(); ++s)
+        if (l_[s] == cls[k]) shells[k].push_back(s);
+    for (const std::size_t a : shells[0])
+      for (const std::size_t b : shells[1])
+        for (const std::size_t c : shells[2])
+          for (const std::size_t d : shells[3]) f(a, b, c, d);
   }
 
   /// Call f(a, b, c, d, deg) for every canonical shell quartet (a >= b,
@@ -106,6 +119,19 @@ class ShellLayout {
   std::vector<std::size_t> offset_;  ///< num_shells + 1 entries
 };
 
+/// One quartet of a compute batch, as shell indices.  A skipped quartet
+/// is not computed; its block comes out all-zero.
+struct Quartet {
+  std::size_t a = 0, b = 0, c = 0, d = 0;
+  bool skip = false;
+};
+
+/// What one QuartetPlan::compute_batch call did.
+struct BatchCounts {
+  std::uint64_t computed = 0;    ///< quartets not skipped
+  std::uint64_t boys_evals = 0;  ///< Boys function evaluations
+};
+
 /// A BasisSet's shell-pair cache and Schwarz table: computes any
 /// (a b|c d) block from pairs built once.  compute() is bit-identical
 /// to building both ShellPairData objects fresh for that quartet,
@@ -126,6 +152,32 @@ class QuartetPlan {
   /// layout().block_size(a, b, c, d) doubles.
   void compute(std::size_t a, std::size_t b, std::size_t c, std::size_t d,
                EriWorkspace& ws, std::span<double> out) const;
+
+  /// The one parallel compute loop.  Computes `batch`, whose quartets all
+  /// have block size `block_size`, into consecutive block_size slots of
+  /// `out` (batch.size() * block_size doubles); skipped quartets come out
+  /// all-zero.  OpenMP dynamic schedule over `num_threads` threads (0 =
+  /// the OpenMP default), in chunks of 16 small blocks down to single
+  /// blocks of 256 integrals or more; serial when the batch fits in one
+  /// chunk.
+  /// Each worker uses its thread's EriWorkspace, set to `boys_mode` on
+  /// every call.  Every block is compute()'s, so the bits do not depend
+  /// on the thread count.  Throws std::invalid_argument on a size
+  /// mismatch.
+  BatchCounts compute_batch(std::span<const Quartet> batch,
+                            std::size_t block_size, BoysMode boys_mode,
+                            int num_threads, std::span<double> out) const;
+
+  using BatchFn =
+      std::function<void(std::span<const Quartet>, std::span<const double>)>;
+
+  /// Compute every ordered quartet of momentum class `cls` with the exact
+  /// Boys function, in flat-index order, through compute_batch in batches
+  /// of at most auto_batch_blocks(class block spec, num_threads) blocks
+  /// (core/stream.h); on_batch(quartets, blocks) sees each batch once.
+  /// Memory is O(batch), never O(class).
+  void compute_class(const std::array<int, 4>& cls, int num_threads,
+                     const BatchFn& on_batch) const;
 
  private:
   /// Pair (a, b) linearized for quartets whose other pair has momentum

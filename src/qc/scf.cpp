@@ -76,17 +76,20 @@ EriTensor compute_eri_tensor(const BasisSet& basis) {
   const std::size_t n = layout.num_functions();
   EriTensor eri(n * n * n * n, 0.0);
 
-  EriWorkspace ws;
-  std::vector<double> block;
-  layout.for_each_quartet([&](std::size_t a, std::size_t b, std::size_t c,
-                              std::size_t d) {
-    block.resize(layout.block_size(a, b, c, d));
-    plan.compute(a, b, c, d, ws, block);
-    layout.for_each_element(
-        a, b, c, d, block.data(),
-        [&](std::size_t mu, std::size_t nu, std::size_t la, std::size_t si,
-            double v) { eri[((mu * n + nu) * n + la) * n + si] = v; });
-  });
+  for (const std::array<int, 4>& cls : layout.quartet_classes()) {
+    plan.compute_class(cls, 0, [&](std::span<const Quartet> quartets,
+                                   std::span<const double> blocks) {
+      const double* blk = blocks.data();
+      for (const Quartet& q : quartets) {
+        layout.for_each_element(
+            q.a, q.b, q.c, q.d, blk,
+            [&](std::size_t mu, std::size_t nu, std::size_t la,
+                std::size_t si,
+                double v) { eri[((mu * n + nu) * n + la) * n + si] = v; });
+        blk += layout.block_size(q.a, q.b, q.c, q.d);
+      }
+    });
+  }
   return eri;
 }
 

@@ -19,6 +19,9 @@
 #include "core/stream.h"
 #include "qc/eri_engine.h"
 #include "qc/molecule.h"
+#include "qc/quartet_plan.h"
+#include "qc/sto3g.h"
+#include "test_util.h"
 
 namespace {
 std::atomic<std::size_t> g_alloc_count{0};
@@ -331,6 +334,35 @@ TEST(AllocFree, EriGenerationSteadyStateAllocatesFarBelowPerBlock) {
   const std::size_t allocs = allocations_since(mark);
   EXPECT_LT(allocs, measured / 8)
       << allocs << " allocations over " << measured << " generated blocks";
+}
+
+/// The store build's compute side: with the plan built and the
+/// thread-local workspaces warm, computing every quartet class through
+/// compute_class allocates per batch (batch buffers, OpenMP region
+/// bookkeeping), never per block.
+TEST(AllocFree, StoreBuildComputeBatchesAllocateFarBelowPerBlock) {
+  const qc::QuartetPlan plan(
+      qc::make_sto3g_basis(testutil::methanol_molecule()));
+  const auto classes = plan.layout().quartet_classes();
+  std::size_t blocks = 0;
+  const auto build = [&] {
+    for (const auto& cls : classes) {
+      plan.compute_class(cls, 0,
+                         [&](std::span<const qc::Quartet> quartets,
+                             std::span<const double>) {
+                           blocks += quartets.size();
+                         });
+    }
+  };
+  build();  // warm pass
+
+  blocks = 0;
+  const std::size_t mark = g_alloc_count.load();
+  build();
+  const std::size_t allocs = allocations_since(mark);
+  EXPECT_EQ(blocks, plan.layout().num_quartets());
+  EXPECT_LT(allocs, blocks / 8)
+      << allocs << " allocations over " << blocks << " computed blocks";
 }
 
 }  // namespace

@@ -13,14 +13,7 @@
 namespace pastri::qc {
 namespace {
 
-Molecule h2o_molecule() {
-  Molecule m;
-  m.name = "H2O";
-  m.atoms = {{"O", 8, {0, 0, 0}},
-             {"H", 1, {0, 1.4305, 1.1093}},
-             {"H", 1, {0, -1.4305, 1.1093}}};
-  return m;
-}
+using testutil::h2o_molecule;
 
 TEST(CompressedEriStore, MaterializeWithinBound) {
   const Molecule mol = h2o_molecule();

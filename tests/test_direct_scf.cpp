@@ -10,39 +10,18 @@
 #include "qc/direct_scf.h"
 #include "qc/mp2.h"
 #include "qc/sto3g.h"
+#include "test_util.h"
 
 namespace pastri::qc {
 namespace {
 
-Molecule h2o_molecule() {
-  Molecule m;
-  m.name = "H2O";
-  m.atoms = {{"O", 8, {0, 0, 0}},
-             {"H", 1, {0, 1.4305, 1.1093}},
-             {"H", 1, {0, -1.4305, 1.1093}}};
-  return m;
-}
+using testutil::h2o_molecule;
+using testutil::methanol_molecule;
 
 Molecule h2_molecule() {
   Molecule m;
   m.name = "H2";
   m.atoms = {{"H", 1, {0, 0, 0}}, {"H", 1, {1.4, 0, 0}}};
-  return m;
-}
-
-/// Staggered methanol, CH3-OH (Angstrom): p shells on C and O.
-Molecule methanol_molecule() {
-  Molecule m;
-  m.name = "methanol";
-  m.atoms = {{"C", 6, {-0.0465, 0.6633, 0.0}},
-             {"O", 8, {-0.0465, -0.7553, 0.0}},
-             {"H", 1, {-1.0863, 0.9766, 0.0}},
-             {"H", 1, {0.4378, 1.0709, 0.8900}},
-             {"H", 1, {0.4378, 1.0709, -0.8900}},
-             {"H", 1, {0.8614, -1.0558, 0.0}}};
-  for (Atom& a : m.atoms) {
-    for (double& x : a.position) x *= kAngstromToBohr;
-  }
   return m;
 }
 

@@ -5,14 +5,18 @@
 // to the original per-quartet implementation.  These digests were
 // captured from the pre-cache engine and must never change on the
 // default (exact-Boys) path; any drift means a transformation stopped
-// being value-preserving.
+// being value-preserving.  The QuartetPlan suite holds the parallel
+// batch loop to the same bits: for any thread count, and whatever Boys
+// mode an earlier caller left on the thread's workspace.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "obs/metric_names.h"
@@ -49,34 +53,22 @@ std::uint64_t bits(double x) {
   return u;
 }
 
-Molecule h2o_molecule() {
-  Molecule m;
-  m.name = "H2O";
-  m.atoms = {{"O", 8, {0, 0, 0}},
-             {"H", 1, {0, 1.4305, 1.1093}},
-             {"H", 1, {0, -1.4305, 1.1093}}};
-  return m;
+using testutil::h2o_molecule;
+using testutil::methanol_molecule;
+
+std::uint64_t tensor_bytes_digest(const EriTensor& t) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(t.data());
+  return fnv1a({p, t.size() * sizeof(double)});
 }
 
-/// Staggered methanol, CH3-OH (coordinates in Angstrom).
-Molecule methanol_molecule() {
-  struct {
-    const char* symbol;
-    int z;
-    double x, y, zc;
-  } const atoms[] = {
-      {"C", 6, -0.0465, 0.6633, 0.0},   {"O", 8, -0.0465, -0.7553, 0.0},
-      {"H", 1, -1.0863, 0.9766, 0.0},   {"H", 1, 0.4378, 1.0709, 0.8900},
-      {"H", 1, 0.4378, 1.0709, -0.8900}, {"H", 1, 0.8614, -1.0558, 0.0},
-  };
-  Molecule m;
-  m.name = "methanol";
-  for (const auto& a : atoms) {
-    m.atoms.push_back({a.symbol, a.z,
-                       {a.x * kAngstromToBohr, a.y * kAngstromToBohr,
-                        a.zc * kAngstromToBohr}});
+/// Every class stream of `store`, concatenated in class order.
+std::vector<std::uint8_t> class_streams(const CompressedEriStore& store) {
+  std::vector<std::uint8_t> streams;
+  for (const std::array<int, 4>& cls : store.layout().quartet_classes()) {
+    const auto s = store.class_stream(cls);
+    streams.insert(streams.end(), s.begin(), s.end());
   }
-  return m;
+  return streams;
 }
 
 TEST(EriGolden, DatasetDigestsMatchSeed) {
@@ -295,6 +287,93 @@ TEST(EriGolden, PairCacheAndBoysCountersAdvance) {
   EXPECT_EQ(hits, 2 * computed);
   EXPECT_GT(computed, 0u);
   EXPECT_GT(boys, 0u);
+}
+
+TEST(QuartetPlan, BatchMatchesComputeAndZeroesSkippedSlots) {
+  // (sp|sp) of methanol: 256 quartets, enough for several schedule
+  // chunks.  Every fifth quartet is skipped; its slot starts dirty.
+  const QuartetPlan plan(make_sto3g_basis(methanol_molecule()));
+  std::vector<Quartet> batch;
+  plan.layout().for_each_quartet_in_class(
+      {0, 1, 0, 1},
+      [&](std::size_t a, std::size_t b, std::size_t c, std::size_t d) {
+        batch.push_back({a, b, c, d, batch.size() % 5 == 2});
+      });
+  ASSERT_EQ(batch.size(), 256u);
+  const std::size_t bs = 9;
+  std::vector<double> out(batch.size() * bs, 7.0);
+  const BatchCounts counts =
+      plan.compute_batch(batch, bs, BoysMode::Exact, 0, out);
+
+  EriWorkspace ws;
+  std::vector<double> want(bs);
+  std::uint64_t computed = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Quartet& q = batch[i];
+    if (q.skip) {
+      std::fill(want.begin(), want.end(), 0.0);
+    } else {
+      plan.compute(q.a, q.b, q.c, q.d, ws, want);
+      ++computed;
+    }
+    ASSERT_EQ(std::memcmp(out.data() + i * bs, want.data(),
+                          bs * sizeof(double)),
+              0)
+        << "quartet " << i;
+  }
+  EXPECT_EQ(counts.computed, computed);
+  EXPECT_EQ(counts.boys_evals, ws.boys_evals);
+  EXPECT_THROW(plan.compute_batch(batch, bs, BoysMode::Exact, 0,
+                                  std::span<double>(out).first(bs)),
+               std::invalid_argument);
+}
+
+TEST(QuartetPlan, StoreStreamsIdenticalForAnyThreadCount) {
+  const BasisSet basis = make_sto3g_basis(methanol_molecule());
+  Params serial;
+  serial.num_threads = 1;
+  const std::vector<std::uint8_t> want =
+      class_streams(CompressedEriStore(basis, serial));
+  ASSERT_FALSE(want.empty());
+  for (const int threads : {2, omp_get_max_threads()}) {
+    Params params;
+    params.num_threads = threads;
+    EXPECT_EQ(class_streams(CompressedEriStore(basis, params)), want)
+        << threads << " threads";
+  }
+}
+
+TEST(QuartetPlan, TensorIdenticalForAnyThreadCount) {
+  const BasisSet basis = make_sto3g_basis(methanol_molecule());
+  const int threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const EriTensor serial = compute_eri_tensor(basis);
+  omp_set_num_threads(threads);
+  const EriTensor parallel = compute_eri_tensor(basis);
+  ASSERT_EQ(parallel.size(), serial.size());
+  EXPECT_EQ(std::memcmp(parallel.data(), serial.data(),
+                        serial.size() * sizeof(double)),
+            0);
+}
+
+TEST(QuartetPlan, TableBoysModeDoesNotLeakIntoExactCallers) {
+  // On one thread every compute runs on this thread's one workspace: a
+  // Table-mode dataset first, then the exact-Boys store and tensor,
+  // which must still give the EriGolden.BasisTensorAndStoreDigestsMatchSeed
+  // bits.
+  const int threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  DatasetOptions opt;
+  opt.config = parse_config("(dd|dd)");
+  opt.max_blocks = 4;
+  opt.boys_mode = BoysMode::Table;
+  (void)generate_eri_dataset(make_molecule("benzene"), opt);
+  const BasisSet water = make_sto3g_basis(h2o_molecule());
+  const EriTensor tensor = compute_eri_tensor(water);
+  const CompressedEriStore store(water, Params{});
+  omp_set_num_threads(threads);
+  EXPECT_EQ(tensor_bytes_digest(tensor), 0xdf9ddcafc84745a1ull);
+  EXPECT_EQ(fnv1a(class_streams(store)), 0xfbc67e21c0aa5d8full);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "core/pastri.h"
 #include "qc/mp2.h"
 #include "qc/sto3g.h"
+#include "test_util.h"
 
 namespace pastri::qc {
 namespace {
@@ -17,14 +18,7 @@ Molecule h2_molecule() {
   return m;
 }
 
-Molecule h2o_molecule() {
-  Molecule m;
-  m.name = "H2O";
-  m.atoms = {{"O", 8, {0, 0, 0}},
-             {"H", 1, {0, 1.4305, 1.1093}},
-             {"H", 1, {0, -1.4305, 1.1093}}};
-  return m;
-}
+using testutil::h2o_molecule;
 
 TEST(Mp2Transform, MoTensorHasMoSymmetries) {
   const Molecule mol = h2o_molecule();

@@ -9,6 +9,7 @@
 #include "qc/one_electron.h"
 #include "qc/scf.h"
 #include "qc/sto3g.h"
+#include "test_util.h"
 
 namespace pastri::qc {
 namespace {
@@ -27,15 +28,7 @@ Molecule he_molecule() {
   return m;
 }
 
-Molecule h2o_molecule() {
-  // R_OH ~ 0.9572 A, HOH ~ 104.52 deg.
-  Molecule m;
-  m.name = "H2O";
-  m.atoms = {{"O", 8, {0, 0, 0}},
-             {"H", 1, {0, 1.4305, 1.1093}},
-             {"H", 1, {0, -1.4305, 1.1093}}};
-  return m;
-}
+using testutil::h2o_molecule;
 
 TEST(Sto3g, ShellCounts) {
   // H: one s shell.  O: 1s + 2s + 2p.

@@ -12,6 +12,7 @@
 
 #include "core/block_spec.h"
 #include "qc/eri_engine.h"
+#include "qc/molecule.h"
 #include "qc/quartet_plan.h"
 
 namespace pastri::testutil {
@@ -31,6 +32,32 @@ inline std::string per_test_dir(const std::string& prefix) {
       std::filesystem::temp_directory_path() / (prefix + "_" + info->name());
   std::filesystem::create_directories(dir);
   return dir.string();
+}
+
+/// Water, R_OH ~ 0.9572 A and HOH ~ 104.52 deg (coordinates in bohr).
+inline pastri::qc::Molecule h2o_molecule() {
+  pastri::qc::Molecule m;
+  m.name = "H2O";
+  m.atoms = {{"O", 8, {0, 0, 0}},
+             {"H", 1, {0, 1.4305, 1.1093}},
+             {"H", 1, {0, -1.4305, 1.1093}}};
+  return m;
+}
+
+/// Staggered methanol, CH3-OH (coordinates given in Angstrom).
+inline pastri::qc::Molecule methanol_molecule() {
+  pastri::qc::Molecule m;
+  m.name = "methanol";
+  m.atoms = {{"C", 6, {-0.0465, 0.6633, 0.0}},
+             {"O", 8, {-0.0465, -0.7553, 0.0}},
+             {"H", 1, {-1.0863, 0.9766, 0.0}},
+             {"H", 1, {0.4378, 1.0709, 0.8900}},
+             {"H", 1, {0.4378, 1.0709, -0.8900}},
+             {"H", 1, {0.8614, -1.0558, 0.0}}};
+  for (pastri::qc::Atom& a : m.atoms) {
+    for (double& x : a.position) x *= pastri::qc::kAngstromToBohr;
+  }
+  return m;
 }
 
 /// Uniform random doubles in [lo, hi].
