@@ -527,8 +527,8 @@ std::vector<double> BlockReader::read_block(std::size_t block) const {
   return out;
 }
 
-std::vector<double> BlockReader::read_range(std::size_t first,
-                                            std::size_t count) const {
+std::size_t BlockReader::range_values(std::size_t first,
+                                       std::size_t count) const {
   if (first + count < first || first + count > index_.num_blocks()) {
     throw std::out_of_range("BlockReader: block range out of bounds");
   }
@@ -536,7 +536,22 @@ std::vector<double> BlockReader::read_range(std::size_t first,
   if (bs != 0 && count > std::numeric_limits<std::size_t>::max() / bs) {
     throw std::runtime_error("PaSTRI: block range too large");
   }
-  std::vector<double> out(count * bs);
+  return count * bs;
+}
+
+std::vector<double> BlockReader::read_range(std::size_t first,
+                                            std::size_t count) const {
+  std::vector<double> out(range_values(first, count));
+  read_range(first, count, out);
+  return out;
+}
+
+void BlockReader::read_range(std::size_t first, std::size_t count,
+                             std::span<double> out) const {
+  if (out.size() != range_values(first, count)) {
+    throw std::invalid_argument("BlockReader: output size mismatch");
+  }
+  const std::size_t bs = info_.spec.block_size();
   const int nthreads = detail::resolve_threads(params_.num_threads);
   // Exceptions cannot propagate out of an OpenMP region; capture the
   // first one (corrupt block payloads must surface as throws, not
@@ -547,15 +562,13 @@ std::vector<double> BlockReader::read_range(std::size_t first,
   for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(count); ++b) {
     try {
       read_block(first + static_cast<std::size_t>(b),
-                 std::span<double>(out).subspan(
-                     static_cast<std::size_t>(b) * bs, bs));
+                 out.subspan(static_cast<std::size_t>(b) * bs, bs));
     } catch (...) {
 #pragma omp critical(pastri_decompress_error)
       if (!error) error = std::current_exception();
     }
   }
   if (error) std::rethrow_exception(error);
-  return out;
 }
 
 std::vector<double> decompress_block_at(

@@ -234,9 +234,21 @@ class BlockReader {
   void read_block(std::size_t block, std::span<double> out) const;
   std::vector<double> read_block(std::size_t block) const;
 
-  /// Decode blocks [first, first+count) (block-parallel internally).
+  /// Decode blocks [first, first+count) straight into `out`, which the
+  /// caller owns and sizes to count * spec.block_size() values: the one
+  /// block-parallel range decoder, with no buffer of its own.  Throws
+  /// std::out_of_range if the range exceeds the stream and
+  /// std::invalid_argument if `out` has any other size.
+  void read_range(std::size_t first, std::size_t count,
+                  std::span<double> out) const;
+  /// Same, into a fresh vector.
   std::vector<double> read_range(std::size_t first,
                                  std::size_t count) const;
+
+  /// Values in blocks [first, first+count), count * spec.block_size(),
+  /// for sizing a read_range output.  Throws std::out_of_range as
+  /// read_range does, std::runtime_error if the count overflows.
+  std::size_t range_values(std::size_t first, std::size_t count) const;
 
  private:
   std::span<const std::uint8_t> stream_;

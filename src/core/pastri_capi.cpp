@@ -1,5 +1,6 @@
 #include "core/pastri_capi.h"
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -73,6 +74,27 @@ pastri_status malloc_copy(const std::vector<T>& src, T** out,
   return PASTRI_OK;
 }
 
+/// Decode blocks [first, first+count) straight into one malloc-owned
+/// buffer the C caller frees with pastri_free.  Returns PASTRI_OK or
+/// PASTRI_ERR_INTERNAL; decode errors propagate as exceptions.
+pastri_status malloc_decode(const pastri::BlockReader& reader,
+                            size_t first, size_t count, double** out,
+                            size_t* out_count) {
+  const size_t n = reader.range_values(first, count);
+  if (n > SIZE_MAX / sizeof(double)) {
+    return fail(PASTRI_ERR_INTERNAL, "out of memory");
+  }
+  std::unique_ptr<double, decltype(&std::free)> buf(
+      static_cast<double*>(std::malloc(n * sizeof(double))), &std::free);
+  if (buf == nullptr && n != 0) {
+    return fail(PASTRI_ERR_INTERNAL, "out of memory");
+  }
+  reader.read_range(first, count, std::span<double>(buf.get(), n));
+  *out = buf.release();
+  *out_count = n;
+  return PASTRI_OK;
+}
+
 }  // namespace
 
 /* Opaque streaming-compressor handle (member order matters: writer holds
@@ -140,9 +162,9 @@ pastri_status pastri_decompress_buffer(const unsigned char* stream,
     return fail(PASTRI_ERR_INVALID_ARGUMENT, "null argument");
   }
   try {
-    const auto values = pastri::decompress(
+    const pastri::BlockReader reader(
         std::span<const std::uint8_t>(stream, stream_size));
-    return malloc_copy(values, out, out_count);
+    return malloc_decode(reader, 0, reader.num_blocks(), out, out_count);
   } catch (const std::runtime_error& e) {
     return fail(PASTRI_ERR_CORRUPT_STREAM, e.what());
   } catch (const std::exception& e) {
@@ -193,8 +215,7 @@ pastri_status pastri_decompress_range(const unsigned char* stream,
     if (first + count < first || first + count > reader.num_blocks()) {
       return fail(PASTRI_ERR_INVALID_ARGUMENT, "block range out of range");
     }
-    const auto values = reader.read_range(first, count);
-    return malloc_copy(values, out, out_count);
+    return malloc_decode(reader, first, count, out, out_count);
   } catch (const std::runtime_error& e) {
     return fail(PASTRI_ERR_CORRUPT_STREAM, e.what());
   } catch (const std::exception& e) {

@@ -60,7 +60,7 @@ pastri_status pastri_compress_buffer(const double* data, size_t count,
 
 /* Decompress a stream produced by pastri_compress_buffer (or the C++
  * API).  On success *out receives a malloc'd array of *out_count
- * doubles. */
+ * doubles, decoded straight into it (no intermediate copy). */
 pastri_status pastri_decompress_buffer(const unsigned char* stream,
                                        size_t stream_size, double** out,
                                        size_t* out_count);

@@ -125,19 +125,29 @@ std::vector<double> BlockStore::range(std::size_t first,
   if (first + count < first || first + count > num_blocks_) {
     throw std::out_of_range("BlockStore: block range out of range");
   }
-  std::vector<double> out;
-  out.reserve(count * block_size());
+  std::vector<double> out(count * block_size());
+  range(first, count, out);
+  return out;
+}
+
+void BlockStore::range(std::size_t first, std::size_t count,
+                       std::span<double> out) const {
+  if (first + count < first || first + count > num_blocks_) {
+    throw std::out_of_range("BlockStore: block range out of range");
+  }
+  if (out.size() != count * block_size()) {
+    throw std::invalid_argument("BlockStore: output size mismatch");
+  }
   for (const Shard& shard : shards_) {
     const std::size_t shard_end =
         shard.first_block + shard.reader->num_blocks();
     const std::size_t lo = std::max(first, shard.first_block);
     const std::size_t hi = std::min(first + count, shard_end);
     if (lo >= hi) continue;
-    const std::vector<double> part =
-        shard.reader->read_range(lo - shard.first_block, hi - lo);
-    out.insert(out.end(), part.begin(), part.end());
+    shard.reader->read_range(
+        lo - shard.first_block, hi - lo,
+        out.subspan((lo - first) * block_size(), (hi - lo) * block_size()));
   }
-  return out;
 }
 
 }  // namespace pastri::io

@@ -46,10 +46,15 @@ class BlockStore {
   /// on a miss.  Thread-safe.  Throws std::out_of_range.
   std::shared_ptr<const std::vector<double>> block(std::size_t index) const;
 
-  /// Decode blocks [first, first+count) into a fresh vector, batching
-  /// each per-shard span into the block-parallel BlockReader range
-  /// decoder.  Bypasses the cache (bulk reads would churn it).
-  /// Thread-safe.  Throws std::out_of_range.
+  /// Decode blocks [first, first+count) straight into `out` (sized
+  /// count * block_size() by the caller), each shard's part through the
+  /// block-parallel BlockReader range decoder into its slice: no
+  /// temporary per shard.  Bypasses the cache (bulk reads would churn
+  /// it).  Thread-safe.  Throws std::out_of_range on a range past the
+  /// store and std::invalid_argument on a wrongly sized `out`.
+  void range(std::size_t first, std::size_t count,
+             std::span<double> out) const;
+  /// Same, into a fresh vector.
   std::vector<double> range(std::size_t first, std::size_t count) const;
 
   void set_cache(const CacheConfig& config) { cache_.configure(config); }

@@ -48,14 +48,59 @@ StreamInfo peek_shard(const std::string& dir, const std::string& basename,
   return peek_info(head);
 }
 
-/// Decode blocks [local_first, local_first+local_count) of one shard.
-/// Indexed shards: header + footer + offset table + one contiguous
-/// payload span, four ranged reads in total.  Legacy (unindexed) shards:
-/// full read, then the in-memory random-access path.
-std::vector<double> read_shard_blocks(const std::string& dir,
-                                      const std::string& basename,
-                                      int shard, std::size_t local_first,
-                                      std::size_t local_count) {
+/// Parse an indexed shard's footer and offset table with two ranged
+/// reads.  Throws std::runtime_error on a short file or a footer or
+/// table that disagrees with the shard header `info`.
+BlockIndex read_shard_index(const std::string& dir,
+                            const std::string& basename, int shard,
+                            std::size_t file_size, const StreamInfo& info) {
+  if (file_size < detail::kGlobalHeaderBytes + detail::kIndexFooterBytes) {
+    throw std::runtime_error("shard too short for index footer");
+  }
+  const std::size_t table_end = file_size - detail::kIndexFooterBytes;
+  const auto tail = read_rank_file_slice(dir, basename, shard, table_end,
+                                         detail::kIndexFooterBytes);
+  const detail::IndexFooter footer =
+      detail::parse_index_footer(tail, file_size);
+  if (footer.num_blocks != info.num_blocks) {
+    throw std::runtime_error(
+        "shard index footer disagrees with its header");
+  }
+  const auto table =
+      read_rank_file_slice(dir, basename, shard, footer.index_offset,
+                           table_end - footer.index_offset);
+  return BlockIndex::parse(table, detail::kGlobalHeaderBytes,
+                           footer.index_offset, info.num_blocks);
+}
+
+/// Throws unless a shard's blocks have the manifest's block size, so a
+/// shard can never decode past its slice of the caller's output.
+void check_shard_block_size(const StreamInfo& shard,
+                            const qc::BlockShape& shape) {
+  if (shard.spec.block_size() != shape.block_size()) {
+    throw std::runtime_error(
+        "shard block size disagrees with the manifest shape");
+  }
+}
+
+/// count * block_size, or std::runtime_error if that overflows.
+std::size_t dataset_values(std::size_t count, std::size_t block_size) {
+  if (block_size != 0 &&
+      count > std::numeric_limits<std::size_t>::max() / block_size) {
+    throw std::runtime_error("pastri-io: block range too large");
+  }
+  return count * block_size;
+}
+
+/// Decode blocks [local_first, local_first+local_count) of one shard
+/// into `out` (local_count manifest-shaped blocks).  Indexed shards:
+/// header + footer + offset table + one contiguous payload span, four
+/// ranged reads in total.  Legacy (unindexed) shards: full read, then
+/// the in-memory random-access path.
+void read_shard_blocks(const std::string& dir, const std::string& basename,
+                       int shard, const qc::BlockShape& shape,
+                       std::size_t local_first, std::size_t local_count,
+                       std::span<double> out) {
   shard_metrics().blocks_read.add(local_count);
   const std::size_t fsize = rank_file_size(dir, basename, shard);
   const StreamInfo info = peek_shard(dir, basename, shard, fsize);
@@ -63,40 +108,18 @@ std::vector<double> read_shard_blocks(const std::string& dir,
       local_first + local_count > info.num_blocks) {
     throw std::out_of_range("read_shard_blocks: range out of range");
   }
+  check_shard_block_size(info, shape);
   if (info.version != kStreamVersionIndexed) {
     // v2 shards have no offset table: fall back to one full read + the
     // in-memory random-access path (BlockReader rebuilds the index by a
     // sequential scan).
     const auto bytes = read_rank_file(dir, basename, shard);
-    return BlockReader(bytes).read_range(local_first, local_count);
+    BlockReader(bytes).read_range(local_first, local_count, out);
+    return;
   }
-  if (fsize < detail::kGlobalHeaderBytes + detail::kIndexFooterBytes) {
-    throw std::runtime_error("shard too short for index footer");
-  }
-  const auto tail =
-      read_rank_file_slice(dir, basename, shard,
-                           fsize - detail::kIndexFooterBytes,
-                           detail::kIndexFooterBytes);
-  const detail::IndexFooter footer =
-      detail::parse_index_footer(tail, fsize);
-  if (footer.num_blocks != info.num_blocks) {
-    throw std::runtime_error(
-        "shard index footer disagrees with its header");
-  }
-  const std::size_t table_end = fsize - detail::kIndexFooterBytes;
-  const auto table =
-      read_rank_file_slice(dir, basename, shard, footer.index_offset,
-                           table_end - footer.index_offset);
   const BlockIndex index =
-      BlockIndex::parse(table, detail::kGlobalHeaderBytes,
-                        footer.index_offset, info.num_blocks);
-  const std::size_t bs = info.spec.block_size();
-  if (bs != 0 &&
-      local_count > std::numeric_limits<std::size_t>::max() / bs) {
-    throw std::runtime_error("pastri-io: shard block range too large");
-  }
-  std::vector<double> out(local_count * bs);
-  if (local_count == 0) return out;
+      read_shard_index(dir, basename, shard, fsize, info);
+  if (local_count == 0) return;
   const BlockExtent& lo = index.extent(local_first);
   const BlockExtent& hi = index.extent(local_first + local_count - 1);
   const std::size_t span_begin = lo.offset;
@@ -104,14 +127,32 @@ std::vector<double> read_shard_blocks(const std::string& dir,
   const auto payload = read_rank_file_slice(
       dir, basename, shard, span_begin, span_end - span_begin);
   const Params params = info.to_params();
+  const std::size_t bs = info.spec.block_size();
   for (std::size_t b = 0; b < local_count; ++b) {
     const BlockExtent& e = index.extent(local_first + b);
     bitio::BitReader r(std::span<const std::uint8_t>(payload).subspan(
         e.offset - span_begin, e.length));
-    decompress_block(r, info.spec, params,
-                     std::span<double>(out).subspan(b * bs, bs));
+    decompress_block(r, info.spec, params, out.subspan(b * bs, bs));
   }
-  return out;
+}
+
+/// shard_block_counts against an already-read manifest.
+std::vector<std::size_t> shard_block_counts(
+    const std::string& dir, const std::string& basename,
+    const CompressedDatasetInfo& info) {
+  std::vector<std::size_t> counts(info.layout.num_shards);
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < counts.size(); ++s) {
+    const int shard = static_cast<int>(s);
+    const std::size_t fsize = rank_file_size(dir, basename, shard);
+    counts[s] = peek_shard(dir, basename, shard, fsize).num_blocks;
+    total += counts[s];
+  }
+  if (total != info.num_blocks) {
+    throw std::runtime_error(
+        "shard headers disagree with manifest block count");
+  }
+  return counts;
 }
 
 }  // namespace
@@ -172,17 +213,7 @@ bool shard_is_complete(const std::string& dir, const std::string& basename,
     // finished shard additionally carries an intact trailing footer and
     // a parsable offset table; a mid-dump truncation loses both.
     if (info.version == kStreamVersionIndexed) {
-      const auto tail = read_rank_file_slice(
-          dir, basename, shard, fsize - detail::kIndexFooterBytes,
-          detail::kIndexFooterBytes);
-      const detail::IndexFooter footer =
-          detail::parse_index_footer(tail, fsize);
-      if (footer.num_blocks != expected_blocks) return false;
-      const auto table = read_rank_file_slice(
-          dir, basename, shard, footer.index_offset,
-          fsize - detail::kIndexFooterBytes - footer.index_offset);
-      BlockIndex::parse(table, detail::kGlobalHeaderBytes,
-                        footer.index_offset, info.num_blocks);
+      read_shard_index(dir, basename, shard, fsize, info);
       return true;
     }
     // Legacy v2 shards have no footer to validate structurally; prove
@@ -232,26 +263,8 @@ ShardWriter::ShardWriter(const std::string& dir, const std::string& basename,
     throw std::runtime_error(
         "ShardWriter: cannot append to an unindexed (v2) shard");
   }
-  if (fsize < detail::kGlobalHeaderBytes + detail::kIndexFooterBytes) {
-    throw std::runtime_error("shard too short for index footer");
-  }
-  const auto tail =
-      read_rank_file_slice(dir, basename, shard,
-                           fsize - detail::kIndexFooterBytes,
-                           detail::kIndexFooterBytes);
-  const detail::IndexFooter footer =
-      detail::parse_index_footer(tail, fsize);
-  if (footer.num_blocks != info.num_blocks) {
-    throw std::runtime_error(
-        "shard index footer disagrees with its header");
-  }
-  const std::size_t table_end = fsize - detail::kIndexFooterBytes;
-  const auto table =
-      read_rank_file_slice(dir, basename, shard, footer.index_offset,
-                           table_end - footer.index_offset);
   const BlockIndex index =
-      BlockIndex::parse(table, detail::kGlobalHeaderBytes,
-                        footer.index_offset, info.num_blocks);
+      read_shard_index(dir, basename, shard, fsize, info);
   file_.open(path_, std::ios::binary | std::ios::in | std::ios::out);
   if (!file_) throw std::runtime_error("cannot open for append: " + path_);
   file_.seekp(static_cast<std::streamoff>(index.payload_end()));
@@ -418,44 +431,32 @@ CompressedDatasetInfo read_manifest(const std::string& dir,
 
 std::vector<std::size_t> shard_block_counts(const std::string& dir,
                                             const std::string& basename) {
-  const CompressedDatasetInfo info = read_manifest(dir, basename);
-  std::vector<std::size_t> counts(info.layout.num_shards);
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    const int shard = static_cast<int>(s);
-    const std::size_t fsize = rank_file_size(dir, basename, shard);
-    counts[s] = peek_shard(dir, basename, shard, fsize).num_blocks;
-    total += counts[s];
-  }
-  if (total != info.num_blocks) {
-    throw std::runtime_error(
-        "shard headers disagree with manifest block count");
-  }
-  return counts;
+  return shard_block_counts(dir, basename, read_manifest(dir, basename));
 }
 
 std::vector<double> read_blocks(const std::string& dir,
                                 const std::string& basename,
                                 std::size_t first, std::size_t count) {
-  const std::vector<std::size_t> counts = shard_block_counts(dir, basename);
-  std::size_t total = 0;
-  for (std::size_t n : counts) total += n;
-  if (first + count < first || first + count > total) {
+  const CompressedDatasetInfo info = read_manifest(dir, basename);
+  const std::vector<std::size_t> counts =
+      shard_block_counts(dir, basename, info);
+  if (first + count < first || first + count > info.num_blocks) {
     throw std::out_of_range("read_blocks: range exceeds dataset");
   }
-  std::vector<double> out;
+  const std::size_t bs = info.shape.block_size();
+  std::vector<double> out(dataset_values(count, bs));
   std::size_t shard_first = 0;  // dataset index of this shard's block 0
-  for (std::size_t s = 0; s < counts.size() && count > 0; ++s) {
+  std::size_t done = 0;         // blocks already decoded into `out`
+  for (std::size_t s = 0; s < counts.size() && done < count; ++s) {
     const std::size_t shard_end = shard_first + counts[s];
-    if (first < shard_end) {
-      const std::size_t local_first = first - shard_first;
+    if (first + done < shard_end) {
+      const std::size_t local_first = first + done - shard_first;
       const std::size_t take =
-          std::min(count, counts[s] - local_first);
-      const auto values = read_shard_blocks(
-          dir, basename, static_cast<int>(s), local_first, take);
-      out.insert(out.end(), values.begin(), values.end());
-      first += take;
-      count -= take;
+          std::min(count - done, counts[s] - local_first);
+      read_shard_blocks(dir, basename, static_cast<int>(s), info.shape,
+                        local_first, take,
+                        std::span<double>(out).subspan(done * bs, take * bs));
+      done += take;
     }
     shard_first = shard_end;
   }
@@ -465,25 +466,28 @@ std::vector<double> read_blocks(const std::string& dir,
 qc::EriDataset read_compressed_dataset(const std::string& dir,
                                        const std::string& basename) {
   const CompressedDatasetInfo info = read_manifest(dir, basename);
+  const std::vector<std::size_t> counts =
+      shard_block_counts(dir, basename, info);
+  const std::size_t bs = info.shape.block_size();
   qc::EriDataset ds;
   ds.label = info.label;
   ds.shape = info.shape;
   ds.num_blocks = info.num_blocks;
-  ds.values.reserve(info.num_blocks * info.shape.block_size());
-  for (std::size_t s = 0; s < info.layout.num_shards; ++s) {
-    // Each shard's own header says how many blocks it holds; the
-    // manifest's per-shard layout is advisory only.
+  ds.values.resize(dataset_values(info.num_blocks, bs));
+  // Each shard decodes straight into its slice of ds.values; only one
+  // shard file is in memory at a time.
+  std::size_t first = 0;
+  for (std::size_t s = 0; s < counts.size(); ++s) {
     const auto bytes = read_rank_file(dir, basename, static_cast<int>(s));
-    const StreamInfo shard = peek_info(bytes);
-    const auto values = decompress(bytes);
-    if (values.size() != shard.num_blocks * info.shape.block_size()) {
-      throw std::runtime_error("shard size mismatch");
+    const BlockReader reader(bytes);
+    check_shard_block_size(reader.info(), info.shape);
+    if (reader.num_blocks() != counts[s]) {
+      throw std::runtime_error("shard block count changed while reading");
     }
-    ds.values.insert(ds.values.end(), values.begin(), values.end());
-  }
-  if (ds.values.size() != info.num_blocks * info.shape.block_size()) {
-    throw std::runtime_error(
-        "shard headers disagree with manifest block count");
+    reader.read_range(0, counts[s],
+                      std::span<double>(ds.values)
+                          .subspan(first * bs, counts[s] * bs));
+    first += counts[s];
   }
   return ds;
 }

@@ -180,7 +180,12 @@ std::size_t write_compressed_dataset(const qc::EriDataset& ds,
                                      const std::string& basename);
 
 /// Load a dataset written by write_compressed_dataset.  Values satisfy
-/// the stream's error bound relative to the originals.
+/// the stream's error bound relative to the originals.  The values are
+/// allocated once; each shard is read whole and decoded straight into
+/// its slice of them, so the read-back holds one dataset buffer plus one
+/// shard file.  Throws std::runtime_error if a shard's block size
+/// disagrees with the manifest shape or the shard headers' block counts
+/// disagree with the manifest total.
 qc::EriDataset read_compressed_dataset(const std::string& dir,
                                        const std::string& basename);
 
@@ -205,7 +210,10 @@ std::vector<std::size_t> shard_block_counts(const std::string& dir,
 /// order, without reading whole shards: indexed (v3) shards are touched
 /// with four ranged reads (header, footer, offset table, payload span);
 /// legacy shards fall back to a full read.  Returns count*block_size
-/// doubles.  Throws std::out_of_range if the range exceeds the dataset.
+/// doubles, each shard's part decoded straight into its slice.  Throws
+/// std::out_of_range if the range exceeds the dataset, and
+/// std::runtime_error on a shard that disagrees with the manifest as in
+/// read_compressed_dataset.
 std::vector<double> read_blocks(const std::string& dir,
                                 const std::string& basename,
                                 std::size_t first, std::size_t count);

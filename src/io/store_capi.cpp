@@ -118,8 +118,7 @@ pastri_status pastri_store_get_range(pastri_store* store, size_t first,
     if (out_capacity < need) {
       return fail(PASTRI_ERR_INVALID_ARGUMENT, "output buffer too small");
     }
-    const auto values = store->range(first, count);
-    std::memcpy(out, values.data(), values.size() * sizeof(double));
+    store->range(first, count, std::span<double>(out, need));
     return PASTRI_OK;
   } catch (const std::runtime_error& e) {
     return fail(PASTRI_ERR_CORRUPT_STREAM, e.what());

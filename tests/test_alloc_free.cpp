@@ -4,10 +4,16 @@
 // the driver arenas, steady-state compress/decompress must allocate
 // nothing per block (workspace loops: exactly zero; streaming drivers:
 // amortized container growth only, far below one allocation per block).
+// It also tracks live heap bytes, so a test can bound the peak memory of
+// a whole call (the sharded dataset read-back).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <new>
 #include <random>
 #include <vector>
@@ -17,6 +23,8 @@
 #include "core/pastri.h"
 #include "core/simd/simd.h"
 #include "core/stream.h"
+#include "io/compressed_file.h"
+#include "io/file_per_process.h"
 #include "qc/eri_engine.h"
 #include "qc/molecule.h"
 #include "qc/quartet_plan.h"
@@ -25,6 +33,11 @@
 
 namespace {
 std::atomic<std::size_t> g_alloc_count{0};
+// Live heap bytes and their high-water mark.  Each allocation carries
+// its size in a max_align_t-sized prefix, so delete can subtract it.
+std::atomic<std::size_t> g_live_bytes{0};
+std::atomic<std::size_t> g_peak_bytes{0};
+constexpr std::size_t kSizePrefix = alignof(std::max_align_t);
 }  // namespace
 
 // The replacement allocator pairs new with malloc/free on purpose.
@@ -32,14 +45,31 @@ std::atomic<std::size_t> g_alloc_count{0};
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void* operator new(std::size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
+  auto* base = static_cast<unsigned char*>(std::malloc(kSizePrefix + n));
+  if (base == nullptr) throw std::bad_alloc();
+  std::memcpy(base, &n, sizeof n);
+  const std::size_t live =
+      g_live_bytes.fetch_add(n, std::memory_order_relaxed) + n;
+  std::size_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_peak_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  return base + kSizePrefix;
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  auto* base = static_cast<unsigned char*>(p) - kSizePrefix;
+  std::size_t n = 0;
+  std::memcpy(&n, base, sizeof n);
+  g_live_bytes.fetch_sub(n, std::memory_order_relaxed);
+  std::free(base);
+}
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 #pragma GCC diagnostic pop
 
 namespace pastri {
@@ -363,6 +393,40 @@ TEST(AllocFree, StoreBuildComputeBatchesAllocateFarBelowPerBlock) {
   EXPECT_EQ(blocks, plan.layout().num_quartets());
   EXPECT_LT(allocs, blocks / 8)
       << allocs << " allocations over " << blocks << " computed blocks";
+}
+
+/// The dataset read-back decodes every shard straight into its slice of
+/// one dataset buffer: beyond the returned values it holds one shard
+/// file at a time plus small bookkeeping (manifest, headers, block
+/// index), never a per-shard decoded copy.
+TEST(AllocFree, DatasetReadAllocatesDecodedValuesOnce) {
+  const std::size_t n = 60;
+  qc::EriDataset ds;
+  ds.label = "alloc";
+  ds.shape.n = {6, 6, 6, 6};  // kSpec: 36 sub-blocks of 36
+  ds.num_blocks = n;
+  ds.values = make_blocks(n, 13);
+  const std::string dir = testutil::per_test_dir("pastri_alloc");
+  io::write_compressed_dataset(ds, Params{}, 3, dir, "ds");
+  std::size_t largest_shard = 0;
+  for (int s = 0; s < 3; ++s) {
+    largest_shard = std::max(
+        largest_shard, static_cast<std::size_t>(std::filesystem::file_size(
+                           io::rank_file_path(dir, "ds", s))));
+  }
+  const std::size_t raw = ds.values.size() * sizeof(double);
+
+  // Warm pass: sizes each decode thread's workspace.
+  const auto warm = io::read_compressed_dataset(dir, "ds");
+
+  const std::size_t base = g_live_bytes.load();
+  g_peak_bytes.store(base);
+  const auto back = io::read_compressed_dataset(dir, "ds");
+  const std::size_t peak = g_peak_bytes.load() - base;
+  EXPECT_EQ(back.values, warm.values);
+  EXPECT_LE(peak, raw + largest_shard + 64 * 1024)
+      << "raw " << raw << " B, largest shard " << largest_shard << " B";
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

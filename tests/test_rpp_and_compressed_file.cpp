@@ -2,6 +2,8 @@
 // the sharded compressed-dataset container.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -181,6 +183,75 @@ TEST_F(CompressedFileTest, ReaderIgnoresCorruptManifestLayout) {
   for (auto n : counts) total += n;
   EXPECT_EQ(total, ds.num_blocks);
   EXPECT_NE(counts, io::read_manifest(dir_, "lied").layout.blocks_per_shard);
+}
+
+/// Overwrite shard `shard` of dataset `base` with `blocks` zero blocks
+/// of `spec`.
+void rewrite_shard(const std::string& dir, const std::string& base,
+                   int shard, const BlockSpec& spec, std::size_t blocks) {
+  io::ShardWriter w(dir, base, shard, spec, Params{}, blocks);
+  w.put_values(std::vector<double>(blocks * spec.block_size(), 0.0));
+  w.finish();
+}
+
+TEST_F(CompressedFileTest, ShardBlockSizeDisagreeingWithManifestThrows) {
+  // A shard whose blocks are larger than the manifest shape's would
+  // decode past its slice of the dataset; the reader must refuse it
+  // before decoding anything.
+  const auto& ds = testutil::small_eri_dataset();
+  io::write_compressed_dataset(ds, Params{}, 3, dir_, "wide");
+  const auto counts = io::shard_block_counts(dir_, "wide");
+  rewrite_shard(dir_, "wide", 1,
+                {ds.shape.num_sub_blocks(), 2 * ds.shape.sub_block_size()},
+                counts[1]);
+  EXPECT_THROW(io::read_compressed_dataset(dir_, "wide"),
+               std::runtime_error);
+  EXPECT_THROW(io::read_blocks(dir_, "wide", 0, ds.num_blocks),
+               std::runtime_error);
+}
+
+TEST_F(CompressedFileTest, ShardHeaderCountDisagreeingWithManifestThrows) {
+  const auto& ds = testutil::small_eri_dataset();
+  io::write_compressed_dataset(ds, Params{}, 3, dir_, "short");
+  const auto counts = io::shard_block_counts(dir_, "short");
+  rewrite_shard(dir_, "short", 2,
+                {ds.shape.num_sub_blocks(), ds.shape.sub_block_size()},
+                counts[2] - 1);
+  EXPECT_THROW(io::read_compressed_dataset(dir_, "short"),
+               std::runtime_error);
+  EXPECT_THROW(io::read_blocks(dir_, "short", 0, 1), std::runtime_error);
+}
+
+TEST_F(CompressedFileTest, ReadRangeIntoSpanMatchesVectorOverload) {
+  const auto& ds = testutil::small_eri_dataset();
+  const BlockSpec spec{ds.shape.num_sub_blocks(),
+                       ds.shape.sub_block_size()};
+  const auto stream = compress(ds.values, spec, Params{});
+  const std::size_t bs = spec.block_size();
+  const std::size_t n = ds.num_blocks;
+  for (const int threads : {1, 0}) {
+    const BlockReader reader(stream, threads);
+    const std::pair<std::size_t, std::size_t> ranges[] = {
+        {0, 0}, {0, 1}, {7, 40}, {n - 1, 1}, {0, n}};
+    for (const auto& [first, count] : ranges) {
+      const auto want = reader.read_range(first, count);
+      // Poison the destination: every value must come from the decode.
+      std::vector<double> got(count * bs, std::nan(""));
+      reader.read_range(first, count, got);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                             want.end(), [](double a, double b) {
+                               return std::bit_cast<std::uint64_t>(a) ==
+                                      std::bit_cast<std::uint64_t>(b);
+                             }))
+          << threads << " threads, " << first << "+" << count;
+    }
+    std::vector<double> out(2 * bs);
+    EXPECT_THROW(reader.read_range(0, 1, out), std::invalid_argument);
+    EXPECT_THROW(reader.read_range(0, 3, out), std::invalid_argument);
+    EXPECT_THROW(reader.read_range(n - 1, 2, out), std::out_of_range);
+    EXPECT_THROW(reader.read_range(n, 1, std::span<double>(out).first(bs)),
+                 std::out_of_range);
+  }
 }
 
 TEST_F(CompressedFileTest, ShardWriterBytesMatchBatchCompress) {
