@@ -145,15 +145,16 @@ typedef struct pastri_store pastri_store;
 
 /* Decoded-block cache geometry.  capacity_blocks is the total cache
  * size across shards (0 disables caching); num_shards is the number of
- * independently locked stripes (0 = library default). */
+ * independently locked stripes (0 = library default), capped at
+ * capacity_blocks and at 256. */
 typedef struct pastri_store_cache_config {
   size_t capacity_blocks;
   size_t num_shards;
 } pastri_store_cache_config;
 
 /* Aggregated cache accounting.  hits/misses are lifetime counters;
- * bytes/unique_blocks count each distinct decoded vector once (entries
- * with identical decoded values share one vector). */
+ * unique_blocks is the number of blocks currently cached and bytes
+ * their decoded size. */
 typedef struct pastri_store_cache_stats {
   size_t hits;
   size_t misses;

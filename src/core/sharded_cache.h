@@ -1,79 +1,60 @@
-// sharded_cache.h - Mutex-striped LRU cache for decoded blocks, shared
-// by every layer that serves repeated reads off a compressed container:
-// CompressedEriStore (qc) and BlockStore (io), and through BlockStore
-// the pastri_store_* C API and the pastri_serve daemon.
+// sharded_cache.h - Mutex-striped LRU cache of decoded blocks, keyed by
+// block number, shared by every layer that serves repeated reads off a
+// compressed container: CompressedEriStore (qc) and BlockStore (io),
+// and through BlockStore the pastri_store_* C API and the pastri_serve
+// daemon.
 //
-// The original CompressedEriStore cache held one global mutex across
-// the whole lookup-decode-insert sequence, serializing all readers.
-// This cache splits the key space over N independently locked shards
-// and takes no lock at all while a block is being decoded: callers
-// `lookup()` (shard-locked, O(1)), decode outside any lock on a miss,
-// then `insert()` the result.  Two threads that miss the same key
-// concurrently both decode, but `insert()` routes every decoded vector
-// through a content-hash dedup map, so they end up sharing one
-// canonical std::shared_ptr -- never divergent copies -- and hit/miss
-// accounting stays exact (each thread that failed the lookup counts
-// one miss).
+// The key space is split over N independently locked stripes, and no
+// lock is held while a block is decoded: callers `lookup()`
+// (stripe-locked, O(1)), decode outside any lock on a miss, then
+// `insert()` the result.  Two threads that miss the same key
+// concurrently both decode, but `insert()` keeps the first entry
+// published under that key and hands it to the second thread too, so
+// both end up holding one std::shared_ptr -- never divergent copies --
+// and hit/miss accounting stays exact (each thread that failed the
+// lookup counts one miss).  A capacity-0 cache keeps nothing, so there
+// each thread keeps the vector it decoded.
 //
-// Eviction is per-shard LRU: capacity is distributed over the shards,
-// so global recency order is only approximate across shards (the
+// Eviction is per-stripe LRU: capacity is distributed over the stripes,
+// so global recency order is only approximate across stripes (the
 // standard sharded-cache tradeoff).  With num_shards = 1 the behavior
-// is exactly the old single-list LRU.
+// is exactly a single-list LRU.
 #pragma once
 
-#include <cstdint>
-#include <cstring>
+#include <algorithm>
 #include <functional>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace pastri {
 
 /// Cache geometry.  `capacity_blocks` is the total number of cached
 /// decoded blocks across all shards (0 disables caching; lookups then
-/// always miss but insert() still dedups and returns a canonical
-/// value).  `num_shards` is the number of independently locked stripes;
-/// it is clamped to [1, capacity_blocks] (when capacity is nonzero) so
-/// every live shard can hold at least one block.
+/// always miss and insert() hands back the fresh vector).  `num_shards`
+/// is the number of independently locked stripes; it is clamped to
+/// [1, min(capacity_blocks, 256)] (capacity only when it is nonzero), so
+/// every live shard can hold at least one block and no geometry -- a
+/// hostile OPEN_STORE frame included -- allocates more than 256
+/// stripes.
 struct CacheConfig {
   std::size_t capacity_blocks = 64;
   std::size_t num_shards = 8;
 };
 
 /// Aggregated cache accounting.  `hits`/`misses` are lifetime lookup
-/// counters (they survive reconfiguration); `bytes`/`unique_blocks`
-/// count each distinct decoded vector once however many keys share it.
+/// counters (they survive reconfiguration); `unique_blocks` is the
+/// number of blocks currently cached and `bytes` their decoded size
+/// (each cached entry owns its vector).
 struct CacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;
   std::size_t bytes = 0;
   std::size_t unique_blocks = 0;
 };
-
-namespace detail {
-
-/// FNV-1a over the decoded doubles, keyed on exact bit patterns (the
-/// decoder is deterministic, so equal blocks decode bit-identically).
-inline std::uint64_t value_hash(const std::vector<double>& values) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const double v : values) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
-}  // namespace detail
 
 /// Keys are block numbers: a BlockStore's store-global block index, or
 /// a CompressedEriStore's ShellLayout::quartet_index.
@@ -92,7 +73,8 @@ class ShardedBlockCache {
   /// Safe to call while other threads are reading (they hold the
   /// structure lock shared; this takes it exclusive).
   void configure(const CacheConfig& config) {
-    std::size_t shards = config.num_shards == 0 ? 1 : config.num_shards;
+    std::size_t shards =
+        std::clamp<std::size_t>(config.num_shards, 1, kMaxShards);
     if (config.capacity_blocks > 0) {
       shards = std::min(shards, config.capacity_blocks);
     }
@@ -143,20 +125,19 @@ class ShardedBlockCache {
     return nullptr;
   }
 
-  /// Publish a block decoded outside the lock.  The vector is deduped
-  /// against every live cached value by content hash, so concurrent
-  /// inserts of the same decoded bytes (same key or not) converge on
-  /// one canonical vector; that canonical value is cached under `key`
-  /// (unless capacity is 0) and returned.  Counts neither hit nor miss.
+  /// Publish a block decoded outside the lock under `key` and return
+  /// the cached value.  If a racing thread already cached `key`, its
+  /// entry is kept (refreshed) and returned, so concurrent misses on one
+  /// key converge on one vector.  With capacity 0 nothing is kept and
+  /// the fresh vector is returned.  Counts neither hit nor miss.
   Value insert(Key key, std::vector<double>&& decoded) {
-    Value value = dedup_(std::move(decoded));
+    auto value =
+        std::make_shared<const std::vector<double>>(std::move(decoded));
     std::shared_lock<std::shared_mutex> structure(structure_mutex_);
     Shard& s = shard_of_(key);
     std::lock_guard<std::mutex> lock(s.mutex);
     if (s.capacity == 0) return value;
     if (const auto hit = s.entries.find(key); hit != s.entries.end()) {
-      // A racing thread beat us to the insert; keep its entry (the
-      // values are canonical-equal anyway) and refresh recency.
       s.lru.splice(s.lru.begin(), s.lru, hit->second.first);
       return hit->second.second;
     }
@@ -166,37 +147,28 @@ class ShardedBlockCache {
     return value;
   }
 
-  /// Aggregate counters plus distinct-vector byte accounting (each
-  /// shared vector counted once across all shards).
+  /// Aggregate counters, and the count and decoded bytes of the blocks
+  /// currently cached.
   CacheStats stats() const {
     CacheStats st;
-    std::set<const void*> seen;
     std::shared_lock<std::shared_mutex> lock(structure_mutex_);
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> sl(shard->mutex);
       st.hits += shard->hits;
       st.misses += shard->misses;
+      st.unique_blocks += shard->entries.size();
       for (const auto& [key, entry] : shard->entries) {
-        if (seen.insert(entry.second.get()).second) {
-          st.bytes += entry.second->size() * sizeof(double);
-        }
+        st.bytes += entry.second->size() * sizeof(double);
       }
     }
-    st.unique_blocks = seen.size();
     return st;
   }
 
-  /// Drop every cached entry (counters persist).
-  void clear() {
-    std::shared_lock<std::shared_mutex> lock(structure_mutex_);
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> sl(shard->mutex);
-      shard->lru.clear();
-      shard->entries.clear();
-    }
-  }
-
  private:
+  /// Upper bound on the stripe count: the geometry can come from a
+  /// remote request, and each stripe is a heap-allocated Shard.
+  static constexpr std::size_t kMaxShards = 256;
+
   struct Shard {
     mutable std::mutex mutex;
     std::list<Key> lru;  ///< most recent at front
@@ -227,35 +199,12 @@ class ShardedBlockCache {
     }
   }
 
-  /// Content-hash dedup of decoded vectors (weak_ptr so dedup never
-  /// extends a lifetime).  Guarded by its own mutex -- touched once per
-  /// decode, never on the hit path.
-  Value dedup_(std::vector<double>&& decoded) {
-    const std::uint64_t h = detail::value_hash(decoded);
-    std::lock_guard<std::mutex> lock(dedup_mutex_);
-    if (const auto shared = by_value_.find(h); shared != by_value_.end()) {
-      if (auto alive = shared->second.lock();
-          alive && *alive == decoded) {  // guard against hash collisions
-        return alive;
-      }
-    }
-    auto value =
-        std::make_shared<const std::vector<double>>(std::move(decoded));
-    by_value_[h] = value;
-    return value;
-  }
-
   /// Guards the shard *array* (and config_), not the entries: readers
   /// hold it shared while touching their shard, configure() holds it
   /// exclusive while re-striping.  Per-shard mutexes guard the entries.
   mutable std::shared_mutex structure_mutex_;
   CacheConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  mutable std::mutex dedup_mutex_;
-  std::unordered_map<std::uint64_t,
-                     std::weak_ptr<const std::vector<double>>>
-      by_value_;
 };
 
 }  // namespace pastri

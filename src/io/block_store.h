@@ -42,8 +42,9 @@ class BlockStore {
   std::size_t compressed_bytes() const { return compressed_bytes_; }
 
   /// Decode block `index` (store-global block order) through the cache:
-  /// shard-locked O(1) on a warm hit, lock-free decode + deduped insert
-  /// on a miss.  Thread-safe.  Throws std::out_of_range.
+  /// shard-locked O(1) on a warm hit, lock-free decode + insert on a
+  /// miss (concurrent misses on one block get the vector cached first).
+  /// Thread-safe.  Throws std::out_of_range.
   std::shared_ptr<const std::vector<double>> block(std::size_t index) const;
 
   /// Decode blocks [first, first+count) straight into `out` (sized

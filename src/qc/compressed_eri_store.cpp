@@ -82,7 +82,7 @@ std::shared_ptr<const std::vector<double>> CompressedEriStore::shell_block(
   // Decode outside any lock: concurrent misses on distinct quartets
   // decode in parallel (BlockReader reads are const and thread-safe);
   // concurrent misses on the *same* quartet both decode but converge on
-  // one shared vector through the cache's content dedup.
+  // the first vector the cache publishes under the quartet's key.
   const BlockRef& ref = block_of_[key];
   std::vector<double> decoded = ref.cls->reader->read_block(ref.ordinal);
   return cache_.insert(key, std::move(decoded));

@@ -52,10 +52,10 @@ class CompressedEriStore {
   /// never across the decode, and the key space is mutex-striped
   /// (CacheConfig::num_shards), so warm hits on different quartets do
   /// not contend.  Two threads missing the same quartet may both
-  /// decode, but the results are deduplicated by content into one
-  /// shared vector, and both misses are counted (hit+miss accounting
-  /// stays exact).  Throws std::out_of_range for shell indices outside
-  /// the basis.
+  /// decode, but the cache keeps the first vector published under the
+  /// quartet and hands it to both, and both misses are counted
+  /// (hit+miss accounting stays exact).  Throws std::out_of_range for
+  /// shell indices outside the basis.
   std::shared_ptr<const std::vector<double>> shell_block(
       std::size_t p, std::size_t q, std::size_t u, std::size_t v) const;
 
@@ -65,12 +65,9 @@ class CompressedEriStore {
   CacheConfig cache_config() const { return cache_.config(); }
 
   /// Aggregated cache accounting: lifetime hit/miss counters, plus the
-  /// bytes and count of *distinct* decoded vectors currently held.
-  /// Decoded blocks are deduplicated by content: cache entries whose
-  /// values are identical (common for symmetry-equivalent or
-  /// pattern-repetitive quartets) share one vector, so
-  /// warm-cache memory grows with the number of *distinct* blocks, not
-  /// the number of cached quartets.
+  /// number of quartet blocks currently cached and their decoded bytes.
+  /// Each cached quartet owns its vector, so warm-cache memory is at
+  /// most the cache capacity times the largest block.
   CacheStats cache_stats() const { return cache_.stats(); }
 
   std::size_t compressed_bytes() const;
@@ -115,9 +112,9 @@ class CompressedEriStore {
   std::size_t uncompressed_bytes_ = 0;
 
   /// Sharded LRU of decoded quartet blocks keyed by
-  /// layout_.quartet_index, with content dedup (see
-  /// core/sharded_cache.h); block_of_/streams_ are immutable after
-  /// construction, so shell_block takes no other lock.
+  /// layout_.quartet_index (see core/sharded_cache.h); block_of_ and
+  /// streams_ are immutable after construction, so shell_block takes no
+  /// other lock.
   mutable ShardedBlockCache cache_;
 };
 

@@ -30,7 +30,8 @@
 //
 //   OPEN_STORE   u8 kind (must be 0: container or manifest path; any
 //                other kind answers PASTRI_ERR_INVALID_ARGUMENT),
-//                u64 cache_capacity_blocks, u32 cache_shards,
+//                u64 cache_capacity_blocks, u32 cache_shards (capped
+//                at the capacity and at 256),
 //                f64 error_bound (unused, kept for wire compatibility),
 //                u16 name_len, name bytes (the path)
 //             -> u32 store_id, u64 num_blocks, u64 block_size
@@ -42,6 +43,8 @@
 //                unknown opcode)
 //   STATS        u32 store_id
 //             -> u64 hits, u64 misses, u64 bytes, u64 unique_blocks
+//                (unique_blocks = blocks currently cached, bytes = their
+//                decoded size)
 //   PUT_OPEN     u16 num_sub_blocks, u16 sub_block_size,
 //                f64 error_bound (<= 0 = default), u16 path_len, path
 //             -> u32 session_id

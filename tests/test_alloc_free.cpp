@@ -5,7 +5,8 @@
 // nothing per block (workspace loops: exactly zero; streaming drivers:
 // amortized container growth only, far below one allocation per block).
 // It also tracks live heap bytes, so a test can bound the peak memory of
-// a whole call (the sharded dataset read-back).
+// a whole call (the sharded dataset read-back), or what a loop leaves
+// behind on the heap (decoded-block cache misses).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <new>
 #include <random>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "core/pastri.h"
 #include "core/simd/simd.h"
 #include "core/stream.h"
+#include "io/block_store.h"
 #include "io/compressed_file.h"
 #include "io/file_per_process.h"
 #include "qc/eri_engine.h"
@@ -426,6 +429,39 @@ TEST(AllocFree, DatasetReadAllocatesDecodedValuesOnce) {
   EXPECT_EQ(back.values, warm.values);
   EXPECT_LE(peak, raw + largest_shard + 64 * 1024)
       << "raw " << raw << " B, largest shard " << largest_shard << " B";
+  std::filesystem::remove_all(dir);
+}
+
+/// A store with caching disabled keeps nothing per decoded block: once
+/// the first read has warmed the decode workspace, reading every other
+/// block once leaves the heap where it was, however many distinct
+/// blocks the store holds.
+TEST(AllocFree, CacheMissesLeaveNoHeapBehind) {
+  const std::size_t n = 2048;
+  const BlockSpec spec{.num_sub_blocks = 4, .sub_block_size = 16};
+  std::mt19937_64 gen(31);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::vector<double> data(n * spec.block_size());
+  for (double& v : data) v = unit(gen);
+  const std::string dir = testutil::per_test_dir("pastri_alloc");
+  const std::string path = dir + "/blocks.pastri";
+  {
+    const auto bytes = compress(data, spec, Params{});
+    std::ofstream(path, std::ios::binary)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+  }
+
+  const io::BlockStore store(path, CacheConfig{0, 8});
+  ASSERT_EQ(store.num_blocks(), n);
+  (void)store.block(0);  // warm pass: decode workspace, lazy statics
+
+  const std::size_t base = g_live_bytes.load();
+  for (std::size_t b = 1; b < n; ++b) (void)store.block(b);
+  const std::size_t live = g_live_bytes.load();
+  EXPECT_LE(live, base + 4096)
+      << (live - base) << " B left on the heap after " << (n - 1)
+      << " cache misses";
   std::filesystem::remove_all(dir);
 }
 

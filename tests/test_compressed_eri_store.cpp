@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -113,10 +114,10 @@ TEST(CompressedEriStore, BlockCacheHitsAndEviction) {
   EXPECT_THROW(store.shell_block(99, 0, 0, 0), std::out_of_range);
 }
 
-TEST(CompressedEriStore, SharesIdenticalDecodedBlocks) {
+TEST(CompressedEriStore, EachCachedQuartetOwnsItsBlock) {
   // Two identical shells at the same center: quartets (0,0,0,0) and
-  // (1,1,1,1) decode to identical values, so the store's value dedup
-  // must hand out one shared vector for both cache entries.
+  // (1,1,1,1) decode to equal values, yet the cache is keyed by quartet
+  // only, so each cached quartet holds its own vector.
   BasisSet basis;
   Shell sh;
   sh.l = 1;
@@ -132,15 +133,24 @@ TEST(CompressedEriStore, SharesIdenticalDecodedBlocks) {
   const auto a = store.shell_block(0, 0, 0, 0);
   const auto b = store.shell_block(1, 1, 1, 1);
   ASSERT_EQ(*a, *b);
-  EXPECT_EQ(a.get(), b.get()) << "identical decoded blocks not shared";
-  EXPECT_EQ(store.cache_stats().unique_blocks, 1u);
-  EXPECT_EQ(store.cache_stats().bytes, a->size() * sizeof(double));
-  // A genuinely different quartet gets its own storage.
+  EXPECT_NE(a.get(), b.get()) << "distinct quartets share a vector";
+  const std::size_t block_bytes = a->size() * sizeof(double);
+  CacheStats stats = store.cache_stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.unique_blocks, 2u);
+  EXPECT_EQ(stats.bytes, 2 * block_bytes);
+
+  // A re-read of either quartet is a hit on its own entry.
+  EXPECT_EQ(store.shell_block(1, 1, 1, 1).get(), b.get());
+  EXPECT_EQ(store.shell_block(0, 0, 0, 0).get(), a.get());
   const auto c = store.shell_block(2, 2, 2, 2);
   ASSERT_NE(*c, *a);
-  EXPECT_NE(c.get(), a.get());
-  EXPECT_EQ(store.cache_stats().unique_blocks, 2u);
-  EXPECT_EQ(store.cache_stats().bytes, 2 * a->size() * sizeof(double));
+  stats = store.cache_stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.unique_blocks, 3u);
+  EXPECT_EQ(stats.bytes, 3 * block_bytes);
 }
 
 TEST(CompressedEriStore, CoarserBoundSmallerStore) {
@@ -179,6 +189,12 @@ TEST(CompressedEriStore, CacheConfigStructs) {
   // stripe 8 ways without losing exact LRU accounting).
   store.set_cache(CacheConfig{2, 64});
   EXPECT_LE(store.cache_config().num_shards, 2u);
+
+  // And to a fixed stripe limit, however large the capacity: a caller
+  // cannot make the cache allocate one stripe per requested shard.
+  store.set_cache(CacheConfig{1 << 16, 1 << 16});
+  EXPECT_EQ(store.cache_config().capacity_blocks, std::size_t{1} << 16);
+  EXPECT_LE(store.cache_config().num_shards, 256u);
 }
 
 TEST(CompressedEriStore, ShellBlockConcurrentStress) {
@@ -218,6 +234,35 @@ TEST(CompressedEriStore, ShellBlockConcurrentStress) {
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kIters);
   EXPECT_GT(stats.hits, 0u);
   EXPECT_LE(stats.unique_blocks, 8u);
+}
+
+TEST(CompressedEriStore, ConcurrentMissesOnOneQuartetShareOneVector) {
+  const BasisSet basis = make_sto3g_basis(h2o_molecule());
+  Params params;
+  CompressedEriStore store(basis, params);
+  store.set_cache(CacheConfig{4, 2});
+
+  // Every thread misses the same cold quartet at once; whichever insert
+  // lands first is the entry, and the others are handed that vector.
+  constexpr std::size_t kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<std::shared_ptr<const std::vector<double>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = store.shell_block(1, 2, 3, 4);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  ASSERT_NE(got[0], nullptr);
+  for (const auto& g : got) EXPECT_EQ(g.get(), got[0].get());
+  const CacheStats stats = store.cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads);
+  EXPECT_GE(stats.misses, 1u);
+  EXPECT_EQ(stats.unique_blocks, 1u);
+  EXPECT_EQ(stats.bytes, got[0]->size() * sizeof(double));
 }
 
 }  // namespace

@@ -226,6 +226,37 @@ TEST_F(Serve, ProtocolRoundTrip) {
   server.stop();
 }
 
+TEST_F(Serve, HostileCacheGeometryIsClamped) {
+  // OPEN_STORE's cache fields come off the wire: a 2^40-block capacity
+  // striped 2^32-1 ways must open with a bounded stripe count, not
+  // allocate a stripe per requested shard.
+  std::vector<double> input;
+  const std::string path = write_container(6, &input);
+  serve::Server server;
+  server.start();
+
+  {
+    serve::Client client("127.0.0.1", server.port());
+    const serve::StoreInfo info =
+        client.open_store(path, std::size_t{1} << 40, 0xFFFFFFFFu);
+    EXPECT_EQ(info.num_blocks, 6u);
+    const std::vector<double> blk = client.get_block(info.id, 3);
+    ASSERT_EQ(blk.size(), 64u);
+    Params params;
+    for (std::size_t i = 0; i < blk.size(); ++i) {
+      EXPECT_NEAR(blk[i], input[3 * 64 + i], params.error_bound);
+    }
+    (void)client.get_block(info.id, 3);
+    const CacheStats stats = client.stats(info.id);
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.unique_blocks, 1u);
+    EXPECT_EQ(stats.bytes, 64 * sizeof(double));
+  }
+
+  server.stop();
+}
+
 TEST_F(Serve, PutStreamRoundTrip) {
   serve::Server server;
   server.start();

@@ -4,6 +4,7 @@
 //   pastri_serve [--port N] [--workers N] [--accept-queue N]
 //                [--max-stores N] [--cache-blocks N] [--cache-shards N]
 //
+// --cache-shards is capped at --cache-blocks and at 256.
 // Binds 127.0.0.1 only.  Prints "listening on 127.0.0.1:<port>" once
 // ready (scrapeable by scripts that pass --port 0 for an ephemeral
 // port) and exits cleanly on SIGINT/SIGTERM.
@@ -28,7 +29,8 @@ int usage(const char* argv0) {
       "          [--max-stores N] [--cache-blocks N] [--cache-shards N]\n"
       "Serves PaSTRI block stores on 127.0.0.1 (binary protocol and\n"
       "HTTP GET /metrics on the same port).  --port 0 (the default)\n"
-      "picks an ephemeral port, printed on stdout at startup.\n",
+      "picks an ephemeral port, printed on stdout at startup.\n"
+      "--cache-shards is capped at --cache-blocks and at 256.\n",
       argv0);
   return 2;
 }
