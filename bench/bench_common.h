@@ -114,18 +114,17 @@ inline double best_time_seconds(const std::function<void()>& fn,
 }
 
 /// Where to write a bench artifact (BENCH_*.json).  A full run writes
-/// the checked-in copy at the repo root; a quick or smoke run writes
-/// into the build tree, wherever it is started from, so smoke numbers
-/// never overwrite the recorded ones.  bench/CMakeLists.txt defines
-/// both directories; a binary built without them writes into the
-/// working directory.
-inline std::string artifact_path(const char* filename,
-                                 bool smoke = quick_mode()) {
+/// the checked-in copy at the repo root; a quick run
+/// (PASTRI_BENCH_QUICK=1) writes into the build tree, wherever it is
+/// started from, so quick numbers never overwrite the recorded ones.
+/// bench/CMakeLists.txt defines both directories; a binary built
+/// without them writes into the working directory.
+inline std::string artifact_path(const char* filename) {
 #if defined(PASTRI_SOURCE_DIR) && defined(PASTRI_BENCH_BINARY_DIR)
-  return std::string(smoke ? PASTRI_BENCH_BINARY_DIR : PASTRI_SOURCE_DIR) +
+  return std::string(quick_mode() ? PASTRI_BENCH_BINARY_DIR
+                                  : PASTRI_SOURCE_DIR) +
          "/" + filename;
 #else
-  (void)smoke;
   return filename;
 #endif
 }

@@ -49,18 +49,20 @@ int main(int argc, char** argv) {
 
   // Bonus: pure streaming path -- compress block-at-a-time without the
   // dataset ever existing as one raw array on the writer side.
-  StreamCompressor sc(
-      BlockSpec{ds.shape.num_sub_blocks(), ds.shape.sub_block_size()},
+  VectorSink sink;
+  StreamWriter writer(
+      sink, BlockSpec{ds.shape.num_sub_blocks(), ds.shape.sub_block_size()},
       params);
   for (std::size_t b = 0; b < ds.num_blocks; ++b) {
-    sc.append_block(ds.block(b));
+    writer.put_block(ds.block(b));
   }
-  const auto stream = sc.finish();
-  StreamDecompressor sd(stream);
+  writer.finish();
+  SpanSource source(sink.bytes());
+  StreamConsumer consumer(source);
   std::vector<double> block(ds.shape.block_size());
   std::size_t n = 0;
   double max_err = 0.0;
-  while (sd.next_block(block)) {
+  while (consumer.read_blocks(block) == 1) {
     const auto orig = ds.block(n);
     for (std::size_t i = 0; i < block.size(); ++i) {
       max_err = std::max(max_err, std::abs(block[i] - orig[i]));

@@ -698,56 +698,4 @@ std::size_t StreamConsumer::read_values(std::span<double> out) {
   return written;
 }
 
-// ---- Buffer-at-once wrappers -------------------------------------------
-
-StreamCompressor::StreamCompressor(const BlockSpec& spec,
-                                   const Params& params)
-    : spec_(spec), params_(params) {
-  spec_.validate();
-  params_.validate();
-}
-
-StreamCompressor::~StreamCompressor() = default;
-
-void StreamCompressor::ensure_writer_() {
-  if (writer_) return;
-  sink_ = std::make_unique<VectorSink>();
-  writer_ = std::make_unique<StreamWriter>(*sink_, spec_, params_);
-  stats_ = Stats{};
-}
-
-void StreamCompressor::append_block(std::span<const double> block) {
-  ensure_writer_();
-  writer_->put_block(block);
-}
-
-std::size_t StreamCompressor::blocks_appended() const {
-  return writer_ ? writer_->blocks_appended() : 0;
-}
-
-const Stats& StreamCompressor::stats() const {
-  return writer_ ? writer_->stats() : stats_;
-}
-
-std::vector<std::uint8_t> StreamCompressor::finish() {
-  ensure_writer_();
-  writer_->finish();
-  stats_ = writer_->stats();
-  writer_.reset();
-  auto out = sink_->take();
-  sink_.reset();
-  return out;
-}
-
-StreamDecompressor::StreamDecompressor(std::span<const std::uint8_t> stream)
-    : source_(std::make_unique<SpanSource>(stream)), consumer_(*source_) {}
-
-bool StreamDecompressor::next_block(std::span<double> out) {
-  if (out.size() != consumer_.info().spec.block_size()) {
-    throw std::invalid_argument("StreamDecompressor: block size mismatch");
-  }
-  if (consumer_.blocks_remaining() == 0) return false;
-  return consumer_.read_blocks(out) == 1;
-}
-
 }  // namespace pastri

@@ -20,9 +20,6 @@
 // The produced bytes are exactly the `pastri::compress` format (the
 // one-shot drivers are thin wrappers over these classes), so streaming
 // and one-shot APIs interoperate both ways, bit-identically.
-//
-// `StreamCompressor` / `StreamDecompressor` remain as the original
-// buffer-at-once conveniences, now implemented on top of the writer.
 #pragma once
 
 #include <functional>
@@ -366,64 +363,6 @@ class StreamConsumer {
 
   std::vector<double> carry_;     // partially consumed decoded block
   std::size_t carry_pos_ = 0;
-};
-
-// ---- Buffer-at-once conveniences (original streaming API) --------------
-
-/// Compress blocks one at a time; `finish()` yields a stream readable by
-/// `decompress` / `StreamConsumer`.  Thin wrapper over StreamWriter with
-/// an in-memory sink (the whole output is buffered -- use StreamWriter
-/// directly for bounded memory).
-class StreamCompressor {
- public:
-  StreamCompressor(const BlockSpec& spec, const Params& params);
-  ~StreamCompressor();
-
-  /// Compress and buffer one block (size must equal spec.block_size()).
-  void append_block(std::span<const double> block);
-
-  /// Number of blocks appended so far.
-  std::size_t blocks_appended() const;
-
-  /// Finalize and return the complete stream.  The compressor can be
-  /// reused afterwards (it resets to empty).
-  std::vector<std::uint8_t> finish();
-
-  /// Accounting so far (input/output byte totals are updated at finish).
-  const Stats& stats() const;
-
- private:
-  void ensure_writer_();
-
-  BlockSpec spec_;
-  Params params_;
-  std::unique_ptr<VectorSink> sink_;
-  std::unique_ptr<StreamWriter> writer_;
-  Stats stats_;
-};
-
-/// Iterate blocks of an in-memory compressed stream without
-/// decompressing it all (wrapper over StreamConsumer + SpanSource).
-class StreamDecompressor {
- public:
-  /// Parses the header immediately; throws on malformed input.
-  /// The span must outlive the decompressor.
-  explicit StreamDecompressor(std::span<const std::uint8_t> stream);
-
-  const StreamInfo& info() const { return consumer_.info(); }
-
-  /// Blocks remaining to read.
-  std::size_t blocks_remaining() const {
-    return consumer_.blocks_remaining();
-  }
-
-  /// Decompress the next block into `out` (size spec.block_size()).
-  /// Returns false when the stream is exhausted.
-  bool next_block(std::span<double> out);
-
- private:
-  std::unique_ptr<SpanSource> source_;
-  StreamConsumer consumer_;
 };
 
 }  // namespace pastri

@@ -72,9 +72,9 @@ struct EriStreamMeta {
 /// any range of dataset blocks on demand.  The plan is a pure function
 /// of (mol, opt), so two generators -- or the same generator across
 /// process restarts -- produce identical blocks for identical indices.
-/// That random access is what the pipeline's shard-resume path and the
-/// fork-based per-rank benchmarks are built on: rank r computes exactly
-/// the block range its shard covers, nothing else.
+/// That random access is what the pipeline's shard-resume path and
+/// per-rank (file-per-process) dumps are built on: rank r computes
+/// exactly the block range its shard covers, nothing else.
 ///
 /// The plan is a QuartetPlan over the union of the slots' shells, so
 /// every block comes out of QuartetPlan::compute_batch, the one parallel

@@ -7,8 +7,8 @@
 // response statuses surface as RpcError; transport failures as
 // std::runtime_error.
 //
-// Used by bench_serve, the Serve test suite, and `pastri_tool
-// serve-client`.
+// Used by the Serve test suite, perfbench's serve workload, and
+// `pastri_tool serve-client`.
 #pragma once
 
 #include <cstdint>

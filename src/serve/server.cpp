@@ -15,6 +15,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -172,10 +173,13 @@ struct Server::Impl {
   std::thread accept_thread;
   std::vector<std::thread> workers;
 
-  // Bounded queue of accepted connections awaiting a worker.
+  // Bounded queue of accepted connections awaiting a worker, and the
+  // connections workers are serving (stop() shuts these down so no
+  // worker sits out its receive timeout on an idle client).
   std::mutex conn_mu;
   std::condition_variable conn_cv;
   std::deque<int> conn_queue;
+  std::set<int> live_fds;
 
   // Server-wide store registry, deduplicated by path so every client of
   // the same container shares one sharded cache.
@@ -574,6 +578,11 @@ struct Server::Impl {
       // Framing/transport failure: the connection is beyond saving.
       metrics().errors.inc();
     }
+    {
+      // Unlisted before the close, so stop() never shuts down a reused fd.
+      std::lock_guard<std::mutex> lock(conn_mu);
+      live_fds.erase(fd);
+    }
     ::close(fd);
     metrics().active_connections.set(
         static_cast<double>(--active_connections));
@@ -588,9 +597,11 @@ struct Server::Impl {
           return !conn_queue.empty() ||
                  stopping.load(std::memory_order_relaxed);
         });
-        if (conn_queue.empty()) return;  // stopping
+        // Stopping: stop() closes whatever is still queued.
+        if (stopping.load(std::memory_order_relaxed)) return;
         fd = conn_queue.front();
         conn_queue.pop_front();
+        live_fds.insert(fd);
       }
       serve_connection(fd);
     }
@@ -684,6 +695,12 @@ void Server::stop() {
   ::shutdown(s.listen_fd, SHUT_RDWR);
   ::close(s.listen_fd);
   if (s.accept_thread.joinable()) s.accept_thread.join();
+  {
+    // Wake every worker blocked in recv on a connected client: its recv
+    // returns EOF at once instead of waiting out SO_RCVTIMEO.
+    std::lock_guard<std::mutex> lock(s.conn_mu);
+    for (const int fd : s.live_fds) ::shutdown(fd, SHUT_RDWR);
+  }
   s.conn_cv.notify_all();
   for (std::thread& w : s.workers) {
     if (w.joinable()) w.join();

@@ -275,6 +275,56 @@ TEST_F(EriPipelineTest, DumpMatchesDenseDatasetPathByteForByte) {
   EXPECT_EQ(slurp(dir_ + "/piped.manifest"), slurp(dir_ + "/dense.manifest"));
 }
 
+TEST_F(EriPipelineTest, PerRankShardWritersMatchPipelinedDump) {
+  // File-per-process dump: each rank re-plans the dataset from
+  // (mol, opt) alone, computes exactly its shard's block range from the
+  // layout formula and streams it through its own ShardWriter -- no
+  // coordination beyond the layout.  The shards must equal the
+  // single-process pipelined dump's byte for byte.
+  Params p;
+  constexpr int kRanks = 4;
+  qc::EriDumpOptions dopt;
+  dopt.num_shards = kRanks;
+  const qc::EriDumpResult res =
+      qc::dump_eri_sharded(mol_, opt_, p, dir_, "piped", dopt);
+
+  qc::EriStreamMeta meta;
+  for (int r = 0; r < kRanks; ++r) {
+    const qc::EriBlockGenerator gen(mol_, opt_);
+    meta = gen.meta();
+    const io::ShardLayout layout =
+        io::make_shard_layout(meta.num_blocks, kRanks);
+    const std::size_t first = io::shard_first_block(layout, r);
+    const std::size_t count = layout.blocks_per_shard[r];
+    std::vector<double> values(count * meta.shape.block_size());
+    gen.compute_range(first, count, values);
+    io::ShardWriter writer(dir_, "ranks", r,
+                           BlockSpec{meta.shape.num_sub_blocks(),
+                                     meta.shape.sub_block_size()},
+                           p, count);
+    writer.put_values(values);
+    writer.finish();
+  }
+  io::write_dataset_manifest(dir_, "ranks", meta.label, meta.shape,
+                             meta.num_blocks,
+                             io::make_shard_layout(meta.num_blocks, kRanks));
+
+  EXPECT_EQ(meta.num_blocks, res.pipeline.meta.num_blocks);
+  for (int s = 0; s < kRanks; ++s) {
+    const std::string suffix = "." + std::to_string(s);
+    EXPECT_EQ(slurp(dir_ + "/ranks" + suffix),
+              slurp(dir_ + "/piped" + suffix))
+        << "shard " << s;
+  }
+  EXPECT_EQ(slurp(dir_ + "/ranks.manifest"),
+            slurp(dir_ + "/piped.manifest"));
+  const qc::EriDataset back = io::read_compressed_dataset(dir_, "ranks");
+  const qc::EriDataset ds = qc::generate_eri_dataset(mol_, opt_);
+  EXPECT_EQ(back.num_blocks, ds.num_blocks);
+  EXPECT_LE(testutil::max_abs_diff(ds.values, back.values),
+            p.error_bound * (1 + 1e-12));
+}
+
 TEST_F(EriPipelineTest, DumpRoundTripsWithinBound) {
   Params p;
   p.error_bound = 1e-9;

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -255,6 +256,22 @@ TEST_F(Serve, HostileCacheGeometryIsClamped) {
   }
 
   server.stop();
+}
+
+TEST_F(Serve, StopDoesNotWaitForIdleClients) {
+  // A connected client that sends nothing leaves its worker blocked in
+  // recv; stop() must wake it at once rather than wait out the 200 ms
+  // receive timeout every accepted socket carries.
+  serve::Server server;
+  server.start();
+  serve::Client client("127.0.0.1", server.port());
+  client.ping();  // a worker now serves this connection
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  const auto stop_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+  EXPECT_LT(stop_ms, 150);
 }
 
 TEST_F(Serve, PutStreamRoundTrip) {

@@ -16,16 +16,17 @@ using testutil::max_abs_diff;
 TEST(Stream, InteropStreamingCompressOneShotDecompress) {
   const BlockSpec spec{9, 11};
   Params p;
-  StreamCompressor sc(spec, p);
+  VectorSink sink;
+  StreamWriter writer(sink, spec, p);
   std::vector<double> all;
   for (std::uint64_t b = 0; b < 20; ++b) {
     const auto block = testutil::noisy_pattern_block(spec, 1e-6, b);
-    sc.append_block(block);
+    writer.put_block(block);
     all.insert(all.end(), block.begin(), block.end());
   }
-  EXPECT_EQ(sc.blocks_appended(), 20u);
-  const auto stream = sc.finish();
-  const auto back = decompress(stream);
+  EXPECT_EQ(writer.blocks_appended(), 20u);
+  writer.finish();
+  const auto back = decompress(sink.bytes());
   EXPECT_LE(max_abs_diff(all, back), p.error_bound * (1 + 1e-12));
 }
 
@@ -39,12 +40,13 @@ TEST(Stream, InteropOneShotCompressStreamingDecompress) {
   }
   const auto stream = compress(all, spec, p);
 
-  StreamDecompressor sd(stream);
-  EXPECT_EQ(sd.info().num_blocks, 15u);
-  EXPECT_EQ(sd.info().spec, spec);
+  SpanSource source(stream);
+  StreamConsumer consumer(source);
+  EXPECT_EQ(consumer.info().num_blocks, 15u);
+  EXPECT_EQ(consumer.info().spec, spec);
   std::vector<double> block(spec.block_size());
   std::size_t b = 0;
-  while (sd.next_block(block)) {
+  while (consumer.read_blocks(block) == 1) {
     EXPECT_LE(max_abs_diff(
                   std::span<const double>(all).subspan(
                       b * spec.block_size(), spec.block_size()),
@@ -54,58 +56,54 @@ TEST(Stream, InteropOneShotCompressStreamingDecompress) {
     ++b;
   }
   EXPECT_EQ(b, 15u);
-  EXPECT_EQ(sd.blocks_remaining(), 0u);
-  EXPECT_FALSE(sd.next_block(block));
+  EXPECT_EQ(consumer.blocks_remaining(), 0u);
+  EXPECT_EQ(consumer.read_blocks(block), 0u);
 }
 
 TEST(Stream, IdenticalBytesToOneShot) {
   const BlockSpec spec{8, 8};
   Params p;
   std::vector<double> all;
-  StreamCompressor sc(spec, p);
+  VectorSink sink;
+  StreamWriter writer(sink, spec, p);
   for (std::uint64_t b = 0; b < 10; ++b) {
     const auto block = testutil::noisy_pattern_block(spec, 1e-7, b + 7);
-    sc.append_block(block);
+    writer.put_block(block);
     all.insert(all.end(), block.begin(), block.end());
   }
-  EXPECT_EQ(sc.finish(), compress(all, spec, p));
+  writer.finish();
+  EXPECT_EQ(sink.bytes(), compress(all, spec, p));
 }
 
 TEST(Stream, EmptyStream) {
   const BlockSpec spec{4, 4};
   Params p;
-  StreamCompressor sc(spec, p);
-  const auto stream = sc.finish();
-  StreamDecompressor sd(stream);
-  EXPECT_EQ(sd.info().num_blocks, 0u);
+  VectorSink sink;
+  StreamWriter writer(sink, spec, p);
+  writer.finish();
+  SpanSource source(sink.bytes());
+  StreamConsumer consumer(source);
+  EXPECT_EQ(consumer.info().num_blocks, 0u);
   std::vector<double> block(16);
-  EXPECT_FALSE(sd.next_block(block));
+  EXPECT_EQ(consumer.read_blocks(block), 0u);
 }
 
 TEST(Stream, RejectsWrongBlockSize) {
   const BlockSpec spec{4, 4};
   Params p;
-  StreamCompressor sc(spec, p);
+  VectorSink sink;
+  StreamWriter writer(sink, spec, p);
   std::vector<double> wrong(15, 1.0);
-  EXPECT_THROW(sc.append_block(wrong), std::invalid_argument);
+  EXPECT_THROW(writer.put_block(wrong), std::invalid_argument);
 
+  // A buffer shorter than one block decodes nothing and consumes nothing.
   std::vector<double> data(32, 1.0);
   const auto stream = compress(data, spec, p);
-  StreamDecompressor sd(stream);
+  SpanSource source(stream);
+  StreamConsumer consumer(source);
   std::vector<double> small(8);
-  EXPECT_THROW(sd.next_block(small), std::invalid_argument);
-}
-
-TEST(Stream, CompressorReusableAfterFinish) {
-  const BlockSpec spec{4, 4};
-  Params p;
-  StreamCompressor sc(spec, p);
-  const auto b1 = testutil::noisy_pattern_block(spec, 1e-6, 1);
-  sc.append_block(b1);
-  const auto s1 = sc.finish();
-  sc.append_block(b1);
-  const auto s2 = sc.finish();
-  EXPECT_EQ(s1, s2);
+  EXPECT_EQ(consumer.read_blocks(small), 0u);
+  EXPECT_EQ(consumer.blocks_remaining(), 2u);
 }
 
 TEST(Stream, TruncatedPayloadThrows) {
@@ -118,11 +116,12 @@ TEST(Stream, TruncatedPayloadThrows) {
   // clipping the tail would only lose the v3 index, which the sequential
   // reader does not need.
   stream.resize(34);
-  StreamDecompressor sd(stream);
+  SpanSource source(stream);
+  StreamConsumer consumer(source);
   std::vector<double> block(64);
   EXPECT_THROW(
       {
-        while (sd.next_block(block)) {
+        while (consumer.read_blocks(block) == 1) {
         }
       },
       std::exception);
@@ -131,14 +130,16 @@ TEST(Stream, TruncatedPayloadThrows) {
 TEST(Stream, StatsAccumulate) {
   const BlockSpec spec{6, 6};
   Params p;
-  StreamCompressor sc(spec, p);
+  VectorSink sink;
+  StreamWriter writer(sink, spec, p);
   for (std::uint64_t b = 0; b < 5; ++b) {
-    sc.append_block(testutil::noisy_pattern_block(spec, 1e-6, b));
+    writer.put_block(testutil::noisy_pattern_block(spec, 1e-6, b));
   }
-  const auto stream = sc.finish();
-  EXPECT_EQ(sc.stats().num_blocks, 5u);
-  EXPECT_EQ(sc.stats().input_bytes, 5u * 36 * 8);
-  EXPECT_EQ(sc.stats().output_bytes, stream.size());
+  const std::size_t size = writer.finish();
+  EXPECT_EQ(writer.stats().num_blocks, 5u);
+  EXPECT_EQ(writer.stats().input_bytes, 5u * 36 * 8);
+  EXPECT_EQ(writer.stats().output_bytes, size);
+  EXPECT_EQ(sink.bytes().size(), size);
 }
 
 // ---- StreamWriter / StreamConsumer (bounded-memory pipeline) ------------
