@@ -27,8 +27,6 @@
 // Blocks are independent byte-aligned units -- the property that makes
 // PaSTRI "highly parallelizable ... each block compressed and
 // decompressed completely independent from each other" (Section IV-C).
-#include <omp.h>
-
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -36,6 +34,7 @@
 
 #include "bitio/varint.h"
 #include "core/format_detail.h"
+#include "core/parallel.h"
 #include "core/pastri.h"
 #include "core/simd/simd.h"
 #include "core/stream.h"
@@ -552,23 +551,12 @@ void BlockReader::read_range(std::size_t first, std::size_t count,
     throw std::invalid_argument("BlockReader: output size mismatch");
   }
   const std::size_t bs = info_.spec.block_size();
-  const int nthreads = detail::resolve_threads(params_.num_threads);
-  // Exceptions cannot propagate out of an OpenMP region; capture the
-  // first one (corrupt block payloads must surface as throws, not
-  // std::terminate) and rethrow after the join.
-  std::exception_ptr error;
-#pragma omp parallel for schedule(dynamic, 16) num_threads(nthreads) \
-    shared(error) if (count > 1)
-  for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(count); ++b) {
-    try {
-      read_block(first + static_cast<std::size_t>(b),
-                 out.subspan(static_cast<std::size_t>(b) * bs, bs));
-    } catch (...) {
-#pragma omp critical(pastri_decompress_error)
-      if (!error) error = std::current_exception();
-    }
-  }
-  if (error) std::rethrow_exception(error);
+  parallel_for(count, 16, params_.num_threads,
+               [&](std::size_t begin, std::size_t end, int) {
+                 for (std::size_t b = begin; b < end; ++b) {
+                   read_block(first + b, out.subspan(b * bs, bs));
+                 }
+               });
 }
 
 std::vector<double> decompress_block_at(

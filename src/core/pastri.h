@@ -14,8 +14,9 @@
 //   auto roundtrip  = pastri::decompress(compressed);
 //   // |values[i] - roundtrip[i]| <= 1e-10 for every i, guaranteed.
 //
-// Thread safety: `compress`/`decompress` parallelize over blocks with
-// OpenMP internally and are safe to call concurrently on distinct data.
+// Thread safety: `compress`/`decompress` parallelize over blocks through
+// parallel_for (core/parallel.h, which states the one thread-count and
+// scheduling policy) and are safe to call concurrently on distinct data.
 #pragma once
 
 #include <array>
@@ -29,6 +30,7 @@
 #include "core/block_index.h"
 #include "core/block_spec.h"
 #include "core/ecq_tree.h"
+#include "core/parallel.h"
 #include "core/quantize.h"
 #include "core/scaling.h"
 
@@ -80,7 +82,7 @@ struct Params {
   ScalingMetric metric = ScalingMetric::ER;
   EcqTree tree = EcqTree::Tree5;
   bool allow_sparse = true;  ///< per-block sparse-ECQ representation
-  int num_threads = 0;       ///< 0 = OpenMP default
+  int num_threads = 0;       ///< core/parallel.h; 0 = the default
 
   void validate() const {
     if (const char* bad = invalid_enum_field(
@@ -95,6 +97,7 @@ struct Params {
       throw std::invalid_argument(
           "relative error bound must be in (0, 1)");
     }
+    resolve_threads(num_threads);  // throws above kMaxThreads
   }
 };
 
@@ -195,7 +198,7 @@ StreamInfo peek_info(std::span<const std::uint8_t> stream);
 // are thin aliases for one-shot use, not separate code paths.
 
 /// Decompress a full stream produced by `compress` (block-parallel;
-/// `num_threads` as in Params::num_threads, 0 = OpenMP default).
+/// `num_threads` as in Params::num_threads, see core/parallel.h).
 /// `info` must be this stream's header as parsed by `peek_info`.
 /// Throws std::runtime_error on malformed input.
 std::vector<double> decompress(std::span<const std::uint8_t> stream,
@@ -217,7 +220,7 @@ class BlockReader {
  public:
   /// Throws std::runtime_error on malformed input (bad header, missing
   /// or inconsistent index footer, corrupt offset table).  `num_threads`
-  /// bounds read_range's block parallelism (0 = OpenMP default).
+  /// bounds read_range's block parallelism (core/parallel.h).
   explicit BlockReader(std::span<const std::uint8_t> stream,
                        int num_threads = 0);
 
@@ -283,7 +286,7 @@ BlockIndex read_block_index(std::span<const std::uint8_t> stream);
 /// Reusable per-thread scratch for the block codec hot path.  Sized on
 /// first use for a given BlockSpec and reused for every block after, so
 /// steady-state compress/decompress loops perform zero heap allocations
-/// per block.  Each OpenMP worker in the batch drivers owns one; the
+/// per block.  Each parallel_for worker in the batch drivers owns one; the
 /// workspace-less compress_block/decompress_block overloads fall back to
 /// a thread-local instance.  Not thread-safe: one workspace per thread.
 struct CodecWorkspace {

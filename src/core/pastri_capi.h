@@ -36,7 +36,7 @@ typedef struct pastri_params {
   int metric;          /* 0=FR 1=ER 2=AR 3=AAR 4=IS */
   int tree;            /* 1..5 (Fig. 7 trees) */
   int allow_sparse;    /* nonzero = adaptive sparse ECQ */
-  int num_threads;     /* 0 = OpenMP default */
+  int num_threads;     /* 0 = default, at most 1024 (core/parallel.h) */
 } pastri_params;
 
 /* Fill with the paper's defaults (EB=1e-10, ER, Tree 5, sparse on).

@@ -5,8 +5,6 @@
 // wrappers over these, which keeps the two paths bit-identical.
 #include "core/stream.h"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -24,6 +22,7 @@
 
 #include "bitio/varint.h"
 #include "core/format_detail.h"
+#include "core/parallel.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 
@@ -253,7 +252,7 @@ std::size_t IstreamSource::read(std::span<std::uint8_t> out) {
 std::size_t auto_batch_blocks(const BlockSpec& spec, int num_threads) {
   const std::size_t bs = std::max<std::size_t>(1, spec.block_size());
   const auto threads =
-      static_cast<std::size_t>(detail::resolve_threads(num_threads));
+      static_cast<std::size_t>(resolve_threads(num_threads));
   const std::size_t want = std::max<std::size_t>(64, 16 * threads);
   const std::size_t mem_cap =
       std::max<std::size_t>(1, (std::size_t{8} << 20) / (bs * sizeof(double)));
@@ -412,7 +411,7 @@ void StreamWriter::flush_batch_() {
   obs::ScopedTimer batch_timer(metrics.encode_batch_ns);
   metrics.encode_batch_blocks.record(n);
   const std::size_t bs = spec_.block_size();
-  const int nthreads = detail::resolve_threads(params_.num_threads);
+  const int nthreads = resolve_threads(params_.num_threads);
 
   // Workers encode the staged blocks independently into their own
   // workspace (bit staging + payload arena, reused batch to batch); the
@@ -429,38 +428,30 @@ void StreamWriter::flush_batch_() {
   // Several chunks per worker, so the whole team shares every batch: a
   // batch that fits one chunk runs on a single thread and leaves the
   // other workspaces cold until some later batch.
-  const int chunk = static_cast<int>(std::clamp<std::size_t>(
-      n / (4 * static_cast<std::size_t>(nthreads)), 1, 16));
-  std::exception_ptr error;
-#pragma omp parallel num_threads(nthreads)
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    CodecWorkspace& ws = workspaces_[tid];
-#pragma omp for schedule(dynamic, chunk)
-    for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(n); ++b) {
-      try {
-        ws.writer.restart();
-        compress_block(std::span<const double>(batch_).subspan(
-                           static_cast<std::size_t>(b) * bs, bs),
-                       spec_, params_, ws.writer, &ws.stats, ws);
-        const auto payload = ws.writer.finish_view();
-        refs_[static_cast<std::size_t>(b)] = {tid, ws.arena.size(),
-                                              payload.size()};
-        ws.arena.insert(ws.arena.end(), payload.begin(), payload.end());
-      } catch (...) {
-#pragma omp critical(pastri_stream_writer_error)
-        if (!error) error = std::current_exception();
-      }
-    }
-  }
-  if (error) std::rethrow_exception(error);
+  const std::size_t chunk = std::clamp<std::size_t>(
+      n / (4 * static_cast<std::size_t>(nthreads)), 1, 16);
+  parallel_for(n, chunk, nthreads,
+               [&](std::size_t begin, std::size_t end, int worker) {
+                 const auto w = static_cast<std::size_t>(worker);
+                 CodecWorkspace& ws = workspaces_[w];
+                 for (std::size_t b = begin; b < end; ++b) {
+                   ws.writer.restart();
+                   compress_block(std::span<const double>(batch_).subspan(
+                                      b * bs, bs),
+                                  spec_, params_, ws.writer, &ws.stats, ws);
+                   const auto payload = ws.writer.finish_view();
+                   refs_[b] = {w, ws.arena.size(), payload.size()};
+                   ws.arena.insert(ws.arena.end(), payload.begin(),
+                                   payload.end());
+                 }
+               });
   for (int t = 0; t < nthreads; ++t) stats_.merge(workspaces_[t].stats);
 
   std::size_t emitted = 0;
   for (std::size_t b = 0; b < n; ++b) {
     const PayloadRef& ref = refs_[b];
     const auto payload = std::span<const std::uint8_t>(
-        workspaces_[ref.tid].arena).subspan(ref.off, ref.len);
+        workspaces_[ref.worker].arena).subspan(ref.off, ref.len);
     std::uint8_t varint[10];
     std::size_t width = 0;
     std::uint64_t v = payload.size();
@@ -531,6 +522,7 @@ std::size_t StreamWriter::finish() {
 StreamConsumer::StreamConsumer(ByteSource& source,
                                const StreamConsumerOptions& opt)
     : source_(source) {
+  resolve_threads(opt.num_threads);  // a bad count throws before any buffer
   const std::size_t chunk =
       opt.chunk_bytes ? opt.chunk_bytes : (std::size_t{1} << 20);
   buf_.resize(std::max<std::size_t>(chunk, detail::kGlobalHeaderBytes));
@@ -628,29 +620,23 @@ std::size_t StreamConsumer::decode_batch_(std::span<double> out,
 
   const std::size_t bs = info_.spec.block_size();
   const std::size_t n = extents_.size();
-  const int nthreads = detail::resolve_threads(params_.num_threads);
+  const int nthreads = resolve_threads(params_.num_threads);
   if (workspaces_.size() < static_cast<std::size_t>(nthreads)) {
     workspaces_.resize(static_cast<std::size_t>(nthreads));
   }
-
-  std::exception_ptr error;
-#pragma omp parallel for schedule(dynamic, 16) num_threads(nthreads) \
-    shared(error) if (n > 1)
-  for (std::ptrdiff_t b = 0; b < static_cast<std::ptrdiff_t>(n); ++b) {
-    try {
-      const Extent& e = extents_[static_cast<std::size_t>(b)];
-      bitio::BitReader r(std::span<const std::uint8_t>(buf_).subspan(
-          pos_ + e.off, e.len));
-      decompress_block(
-          r, info_.spec, params_,
-          out.subspan(static_cast<std::size_t>(b) * bs, bs),
-          workspaces_[static_cast<std::size_t>(omp_get_thread_num())]);
-    } catch (...) {
-#pragma omp critical(pastri_stream_consumer_error)
-      if (!error) error = std::current_exception();
-    }
-  }
-  if (error) std::rethrow_exception(error);
+  parallel_for(n, 16, nthreads,
+               [&](std::size_t begin, std::size_t end, int worker) {
+                 CodecWorkspace& ws =
+                     workspaces_[static_cast<std::size_t>(worker)];
+                 for (std::size_t b = begin; b < end; ++b) {
+                   const Extent& e = extents_[b];
+                   bitio::BitReader r(
+                       std::span<const std::uint8_t>(buf_).subspan(
+                           pos_ + e.off, e.len));
+                   decompress_block(r, info_.spec, params_,
+                                    out.subspan(b * bs, bs), ws);
+                 }
+               });
   pos_ += cur;
   remaining_ -= n;
   metrics.decode_batch_blocks.record(n);

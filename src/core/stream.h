@@ -7,13 +7,13 @@
 // with O(chunk) peak memory on both ends:
 //
 //   * `StreamWriter` accepts blocks (or arbitrarily sliced value chunks)
-//     incrementally, encodes them in OpenMP-parallel batches, writes the
+//     incrementally, encodes them in parallel batches, writes the
 //     container bytes to a `ByteSink` as each batch completes, and keeps
 //     only the per-block payload sizes (the delta-varint offset table)
 //     buffered until `finish()` emits the table and the PIDX footer.
 //
 //   * `StreamConsumer` pulls compressed bytes from a `ByteSource` in
-//     fixed-size chunks and decodes blocks in OpenMP-parallel batches,
+//     fixed-size chunks and decodes blocks in parallel batches,
 //     so the whole compressed stream never needs to be materialized --
 //     it works on a pipe.
 //
@@ -179,8 +179,8 @@ inline constexpr std::uint64_t kUnknownBlockCount = ~std::uint64_t{0};
 
 /// Blocks per batch when StreamWriterOptions::batch_blocks (or
 /// StreamConsumerOptions::batch_blocks) is 0: enough to keep every worker
-/// busy -- `num_threads` as in Params::num_threads, 0 = the OpenMP
-/// default -- capped so the raw staging buffer stays a few MB however
+/// busy -- `num_threads` as in Params::num_threads (core/parallel.h)
+/// -- capped so the raw staging buffer stays a few MB however
 /// large the blocks are.  The ERI pipeline sizes its compute chunks by
 /// the same rule, so one computed chunk fills one encode batch.
 std::size_t auto_batch_blocks(const BlockSpec& spec, int num_threads);
@@ -188,7 +188,7 @@ std::size_t auto_batch_blocks(const BlockSpec& spec, int num_threads);
 struct StreamWriterOptions {
   /// Blocks per encode batch -- the depth of the bounded producer/worker
   /// queue and the writer's peak block memory.  0 = auto: enough blocks
-  /// to keep every OpenMP worker busy, capped at a few MB of staging.
+  /// to keep every worker busy, capped at a few MB of staging.
   std::size_t batch_blocks = 0;
 
   /// Total block count declared up-front.  When known, the header is
@@ -260,12 +260,12 @@ class StreamWriter {
   void flush_batch_();
 
   /// Where one block's encoded payload lives: byte range `[off, off+len)`
-  /// of the encoding worker's arena (`workspaces_[tid]`).  The
+  /// of the encoding worker's arena (`workspaces_[worker]`).  The
   /// serializer walks these in append order, so the container bytes are
   /// scheduling-independent even though payloads are scattered across
-  /// per-thread arenas.
+  /// per-worker arenas.
   struct PayloadRef {
-    std::size_t tid = 0;
+    std::size_t worker = 0;
     std::size_t off = 0;
     std::size_t len = 0;
   };
@@ -303,10 +303,11 @@ struct StreamConsumerOptions {
   /// larger than the chunk.
   std::size_t chunk_bytes = 0;
 
-  /// Blocks per decode batch (OpenMP-parallel).  0 = auto.
+  /// Blocks per decode batch (decoded in parallel).  0 = auto.
   std::size_t batch_blocks = 0;
 
-  /// OpenMP threads for batch decode; 0 = library default.
+  /// Threads for batch decode, as in Params::num_threads
+  /// (core/parallel.h).
   int num_threads = 0;
 };
 

@@ -32,7 +32,7 @@ class CompressedEriStore {
   /// Compute all shell-quartet blocks of `basis` and compress them,
   /// one PaSTRI stream per quartet class.  Each class is computed in
   /// parallel batches (QuartetPlan::compute_class, `params.num_threads`
-  /// threads, 0 = the OpenMP default) that go straight into the class's
+  /// threads as in core/parallel.h) that go straight into the class's
   /// StreamWriter, so write-side memory is O(batch): no dense per-class
   /// tensor and no list of all quartets.  The streams are the same bytes
   /// for any thread count.

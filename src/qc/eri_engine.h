@@ -79,9 +79,9 @@ struct EriStreamMeta {
 /// The plan is a QuartetPlan over the union of the slots' shells, so
 /// every block comes out of QuartetPlan::compute_batch, the one parallel
 /// compute loop the BasisSet consumers use too.  compute_range() is
-/// OpenMP-parallel through it; the plan is immutable after construction
-/// and per-quartet scratch lives in thread-local workspaces, so a const
-/// generator may be used from any thread.
+/// parallel through it (core/parallel.h); the plan is immutable after
+/// construction and per-quartet scratch lives in thread-local
+/// workspaces, so a const generator may be used from any thread.
 class EriBlockGenerator {
  public:
   EriBlockGenerator(const Molecule& mol, const DatasetOptions& opt);

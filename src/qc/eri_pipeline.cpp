@@ -93,7 +93,7 @@ PumpStats pump_blocks(const EriBlockGenerator& gen, std::size_t first,
     free_q.push(std::move(c));
   }
 
-  // The producer keeps the quartet math OpenMP-parallel inside
+  // The producer keeps the quartet math parallel inside
   // compute_range while the encode stage runs on this thread.
   std::exception_ptr producer_error;
   std::thread producer([&] {

@@ -1,31 +1,30 @@
 #include "qc/quartet_plan.h"
 
-#include <omp.h>
-
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <stdexcept>
 
+#include "core/parallel.h"
 #include "core/stream.h"
 #include "qc/cartesian.h"
 
 namespace pastri::qc {
 namespace {
 
-/// compute_batch's OpenMP schedule chunk, in quartets: 16 small blocks
+/// compute_batch's parallel_for chunk, in quartets: 16 small blocks
 /// (STO-3G's s and p classes cost microseconds each), down to one block
 /// once a block holds 256 or more integrals ((dd|dd) and up cost
 /// milliseconds, and 16 of them would hand one thread a quarter of a
 /// whole pipeline chunk).
-std::ptrdiff_t schedule_chunk(std::size_t block_size) {
-  return static_cast<std::ptrdiff_t>(
-      std::clamp<std::size_t>(256 / std::max<std::size_t>(block_size, 1),
-                              1, 16));
+std::size_t schedule_chunk(std::size_t block_size) {
+  return std::clamp<std::size_t>(256 / std::max<std::size_t>(block_size, 1),
+                                 1, 16);
 }
 
-/// One reusable quartet workspace per OS thread.  OpenMP teams spawned
-/// by different host threads run on disjoint OS threads, so concurrent
-/// compute_batch calls never share one.
+/// One reusable quartet workspace per OS thread.  Concurrent
+/// compute_batch calls run on disjoint OS threads (parallel_for's teams
+/// never share a thread), so they never share one.
 EriWorkspace& tls_workspace() {
   thread_local EriWorkspace ws;
   return ws;
@@ -77,15 +76,12 @@ QuartetPlan::QuartetPlan(const BasisSet& basis) : layout_(basis) {
   // Build each pair once, keep a copy linearized per stride, and take
   // its Schwarz bound from the copy at the diagonal stride 2 * l_sum.
   // Every (a, b) writes only its own slots, so rows of the table are
-  // built in parallel, one workspace per thread.
+  // built in parallel, one row per chunk.
   pairs_.resize(ns * ns * num_l_sums_);
   schwarz_.resize(ns * ns);
-#pragma omp parallel
-  {
+  parallel_for(ns, 1, 0, [&](std::size_t begin, std::size_t end, int) {
     EriWorkspace ws;
-#pragma omp for schedule(dynamic)
-    for (std::ptrdiff_t ai = 0; ai < static_cast<std::ptrdiff_t>(ns); ++ai) {
-      const auto a = static_cast<std::size_t>(ai);
+    for (std::size_t a = begin; a < end; ++a) {
       for (std::size_t b = 0; b < ns; ++b) {
         const ShellPairData built(basis.shells[a], basis.shells[b]);
         for (std::size_t s = 0; s < num_l_sums_; ++s) {
@@ -97,7 +93,7 @@ QuartetPlan::QuartetPlan(const BasisSet& basis) : layout_(basis) {
         schwarz_[a * ns + b] = schwarz_bound(pair(a, b, built.l_sum()), ws);
       }
     }
-  }
+  });
 }
 
 void QuartetPlan::compute(std::size_t a, std::size_t b, std::size_t c,
@@ -116,32 +112,29 @@ BatchCounts QuartetPlan::compute_batch(std::span<const Quartet> batch,
     throw std::invalid_argument(
         "QuartetPlan::compute_batch: output span does not match batch");
   }
-  const auto count = static_cast<std::ptrdiff_t>(batch.size());
-  const std::ptrdiff_t chunk = schedule_chunk(block_size);
-  const int threads = num_threads > 0 ? num_threads : omp_get_max_threads();
-  std::uint64_t computed = 0;
-  std::uint64_t boys_evals = 0;
-#pragma omp parallel if (count > chunk) num_threads(threads) \
-    reduction(+ : computed, boys_evals)
-  {
-    EriWorkspace& ws = tls_workspace();
-    ws.boys_mode = boys_mode;
-    const std::uint64_t boys0 = ws.boys_evals;
-#pragma omp for schedule(dynamic, chunk)
-    for (std::ptrdiff_t i = 0; i < count; ++i) {
-      const Quartet& q = batch[static_cast<std::size_t>(i)];
-      const auto blk =
-          out.subspan(static_cast<std::size_t>(i) * block_size, block_size);
-      if (q.skip) {
-        std::fill(blk.begin(), blk.end(), 0.0);
-        continue;
-      }
-      compute(q.a, q.b, q.c, q.d, ws, blk);
-      ++computed;
-    }
-    boys_evals += ws.boys_evals - boys0;
-  }
-  return {computed, boys_evals};
+  std::atomic<std::uint64_t> computed = 0;
+  std::atomic<std::uint64_t> boys_evals = 0;
+  parallel_for(
+      batch.size(), schedule_chunk(block_size), num_threads,
+      [&](std::size_t begin, std::size_t end, int) {
+        EriWorkspace& ws = tls_workspace();
+        ws.boys_mode = boys_mode;
+        const std::uint64_t boys0 = ws.boys_evals;
+        std::uint64_t done = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          const Quartet& q = batch[i];
+          const auto blk = out.subspan(i * block_size, block_size);
+          if (q.skip) {
+            std::fill(blk.begin(), blk.end(), 0.0);
+            continue;
+          }
+          compute(q.a, q.b, q.c, q.d, ws, blk);
+          ++done;
+        }
+        computed += done;
+        boys_evals += ws.boys_evals - boys0;
+      });
+  return {computed.load(), boys_evals.load()};
 }
 
 void QuartetPlan::compute_class(const std::array<int, 4>& cls,

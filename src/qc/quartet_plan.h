@@ -7,12 +7,13 @@
 // (eri_engine.h) samples ordered ones.  `ShellLayout` is where each shell
 // sits in basis-function index space (offsets, widths, momenta, centers)
 // and the one place that enumerates quartets; `QuartetPlan` adds the
-// integral side: every shell pair's ShellPairData, built once (OpenMP
-// across pairs) and kept at each R stride its quartets need, plus the
+// integral side: every shell pair's ShellPairData, built once (in
+// parallel across pairs) and kept at each R stride its quartets need, plus the
 // Schwarz table.  Both are immutable after construction.  The plan also
 // owns the one parallel compute loop, `compute_batch`: the dataset
 // generator, the store build and the dense tensor all compute their
-// blocks through it, one thread-local workspace per OpenMP worker.
+// blocks through it, one thread-local workspace per worker thread.
+// Both loops run through parallel_for (core/parallel.h).
 #pragma once
 
 #include <array>
@@ -156,10 +157,9 @@ class QuartetPlan {
   /// The one parallel compute loop.  Computes `batch`, whose quartets all
   /// have block size `block_size`, into consecutive block_size slots of
   /// `out` (batch.size() * block_size doubles); skipped quartets come out
-  /// all-zero.  OpenMP dynamic schedule over `num_threads` threads (0 =
-  /// the OpenMP default), in chunks of 16 small blocks down to single
-  /// blocks of 256 integrals or more; serial when the batch fits in one
-  /// chunk.
+  /// all-zero.  parallel_for over `num_threads` threads (core/parallel.h),
+  /// in chunks of 16 small blocks down to single blocks of 256
+  /// integrals or more; serial when the batch fits in one chunk.
   /// Each worker uses its thread's EriWorkspace, set to `boys_mode` on
   /// every call.  Every block is compute()'s, so the bits do not depend
   /// on the thread count.  Throws std::invalid_argument on a size

@@ -24,8 +24,8 @@ using EriTensor = std::vector<double>;
 
 /// Compute the full ERI tensor for a basis (8-fold symmetry not
 /// exploited; n is tiny here).  The blocks are computed class by class
-/// in parallel batches (QuartetPlan::compute_class, OpenMP default
-/// thread count); the tensor is bit-identical for any thread count.
+/// in parallel batches (QuartetPlan::compute_class, default thread
+/// count, core/parallel.h); the tensor is bit-identical for any thread count.
 EriTensor compute_eri_tensor(const BasisSet& basis);
 
 struct ScfOptions {

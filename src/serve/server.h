@@ -18,7 +18,8 @@
 // therefore one mutex-striped cache (core/sharded_cache.h) -- warm hits
 // from different workers contend only on their key's shard, and cold
 // misses decode outside any lock.  GET_RANGE batches into the
-// OpenMP-parallel BlockReader range decoder.
+// BlockReader range decoder (parallel above one chunk of 16 blocks,
+// core/parallel.h).
 //
 // PUT sessions stream values into a StreamWriter through a bounded
 // chunk queue drained by a per-session encoder thread; the PUT_CHUNK

@@ -295,6 +295,7 @@ TEST(CApi, OutOfRangeEnumParamsAreInvalidArguments) {
       {"tree", &pastri_params::tree, 0},
       {"tree", &pastri_params::tree, 6},
       {"tree", &pastri_params::tree, 200},
+      {"num_threads", &pastri_params::num_threads, 1 << 20},  // > kMaxThreads
   };
   const std::string path =
       (std::filesystem::temp_directory_path() / "pastri_capi_enum.pastri")
