@@ -1,16 +1,10 @@
 // bench_eri_kernels.cpp - The ERI compute stage before/after the
-// shell-pair cache, plus the Boys fast path.
-//
-//   1. Quartets/s with the original per-quartet engine (rebuild the
-//      Hermite term lists and the HermiteR tensor for every block --
-//      reimplemented here verbatim from the pre-cache code) against the
-//      cached ShellPairData + reusable-workspace path, with every block
-//      compared bitwise: the cache is a pure reuse transformation, so
-//      the numbers must not move by even one ulp.
-//
-//   2. Boys function evaluations/s, exact series vs the tabulated
-//      Taylor fast path, with the max absolute deviation over a dense
-//      off-grid T sweep at every order on the record.
+// shell-pair cache: quartets/s with the original per-quartet engine
+// (rebuild the Hermite term lists and the HermiteR tensor for every
+// block -- reimplemented here verbatim from the pre-cache code) against
+// the cached ShellPairData + reusable-workspace path, with every block
+// compared bitwise: the cache is a pure reuse transformation, so the
+// numbers must not move by even one ulp.
 //
 // Emits BENCH_eri_kernels.json at the repo root; --smoke shrinks the
 // run for CI and skips the artifact.  Exits nonzero if any bitwise
@@ -245,55 +239,6 @@ PairCacheRow bench_pair_cache(const char* config_name, int l,
   return row;
 }
 
-struct BoysRow {
-  double series_evals_per_s = 0.0;
-  double table_evals_per_s = 0.0;
-  double max_abs_diff = 0.0;
-};
-
-/// Full-span Boys evaluations/s at the engine's top order over a dense
-/// off-grid T sweep, plus the worst absolute deviation at any order.
-BoysRow bench_boys(int reps) {
-  const int m = kMaxBoysOrder;
-  std::vector<double> Ts;
-  for (int i = 0; i <= 8000; ++i) {
-    Ts.push_back(45.0 * i / 8000.0 + (i % 11) * 7.3e-4);
-  }
-  double sink = 0.0;
-  double buf[kMaxBoysOrder + 1];
-
-  BoysRow row;
-  row.series_evals_per_s =
-      Ts.size() / bench::best_time_seconds(
-                      [&] {
-                        for (const double T : Ts) {
-                          boys(T, m, std::span<double>(buf, m + 1));
-                          sink += buf[m];
-                        }
-                      },
-                      reps);
-  row.table_evals_per_s =
-      Ts.size() / bench::best_time_seconds(
-                      [&] {
-                        for (const double T : Ts) {
-                          boys_table(T, m, std::span<double>(buf, m + 1));
-                          sink += buf[m];
-                        }
-                      },
-                      reps);
-  double exact[kMaxBoysOrder + 1];
-  for (const double T : Ts) {
-    boys(T, m, std::span<double>(exact, m + 1));
-    boys_table(T, m, std::span<double>(buf, m + 1));
-    for (int n = 0; n <= m; ++n) {
-      row.max_abs_diff =
-          std::max(row.max_abs_diff, std::abs(buf[n] - exact[n]));
-    }
-  }
-  if (sink == 42.0) std::printf(" ");  // defeat dead-code elimination
-  return row;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -304,11 +249,10 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 1 : 3;
 
   bench::print_header(
-      "ERI compute kernels: shell-pair cache, Boys fast path",
+      "ERI compute kernels: shell-pair cache",
       "PaSTRI (CLUSTER'18) dataset generation stage; "
       "McMurchie-Davidson engine");
 
-  // -- 1. pair caching before/after ------------------------------------
   std::vector<PairCacheRow> cache_rows;
   cache_rows.push_back(
       bench_pair_cache("(dd|dd)", 2, 2, smoke ? 2 : 3, reps));
@@ -325,20 +269,6 @@ int main(int argc, char** argv) {
         r.bitwise_identical ? "identical" : "DIFFER");
   }
   std::printf("\n");
-
-  // -- 2. Boys series vs table -----------------------------------------
-  const BoysRow boys_row = bench_boys(reps);
-  std::printf("Boys function, full span to order %d, dense off-grid sweep\n",
-              kMaxBoysOrder);
-  std::printf("  exact series   %12.0f evals/s\n",
-              boys_row.series_evals_per_s);
-  std::printf("  tabulated      %12.0f evals/s   (%.2fx)\n",
-              boys_row.table_evals_per_s,
-              boys_row.series_evals_per_s > 0
-                  ? boys_row.table_evals_per_s / boys_row.series_evals_per_s
-                  : 0.0);
-  std::printf("  max |table - series| over sweep: %.3e\n\n",
-              boys_row.max_abs_diff);
 
   // -- artifact --------------------------------------------------------
   const std::string out = bench::artifact_path("BENCH_eri_kernels.json");
@@ -357,19 +287,7 @@ int main(int argc, char** argv) {
                    r.speedup(), r.bitwise_identical ? "true" : "false",
                    i + 1 < cache_rows.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"boys\": {\"order\": %d, \"series_evals_per_s\": %.1f, "
-                 "\"table_evals_per_s\": %.1f, \"speedup\": %.3f, "
-                 "\"max_abs_diff\": %.3e}\n",
-                 kMaxBoysOrder, boys_row.series_evals_per_s,
-                 boys_row.table_evals_per_s,
-                 boys_row.series_evals_per_s > 0
-                     ? boys_row.table_evals_per_s /
-                           boys_row.series_evals_per_s
-                     : 0.0,
-                 boys_row.max_abs_diff);
-    std::fprintf(f, "}\n");
+    std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
     std::printf("\nwrote %s\n", out.c_str());
   }

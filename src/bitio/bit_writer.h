@@ -114,6 +114,9 @@ class BitWriter {
     return bytes_;
   }
 
+  /// Make room for `bytes` bytes of output without reallocating.
+  void reserve(std::size_t bytes) { bytes_.reserve(bytes); }
+
   /// Reset to an empty stream, retaining the buffer capacity.
   void restart() {
     bytes_.clear();

@@ -166,6 +166,20 @@ BlockEncoding plan_block(const QuantizedBlock& qb, const BlockSpec& spec,
 
 // ---- Block-level encode -------------------------------------------------
 
+void CodecWorkspace::reserve_encode(const BlockSpec& spec) {
+  // The sizes compress_block resizes these to: its later resizes then
+  // reuse this storage.
+  selection.scales.resize(spec.num_sub_blocks);
+  metric_scratch.resize(spec.num_sub_blocks);
+  quantized.pq.resize(spec.sub_block_size);
+  quantized.sq.resize(spec.num_sub_blocks);
+  quantized.ecq.resize(spec.block_size());
+  p_hat.resize(spec.sub_block_size);
+  s_hat.resize(spec.num_sub_blocks);
+  writer.reserve(spec.block_size() * sizeof(double));
+  arena.reserve(spec.block_size() * sizeof(double));
+}
+
 void compress_block(std::span<const double> block, const BlockSpec& spec,
                     const Params& params, bitio::BitWriter& w, Stats* stats) {
   compress_block(block, spec, params, w, stats, tls_workspace());

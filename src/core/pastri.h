@@ -300,6 +300,11 @@ struct CodecWorkspace {
   bitio::BitWriter writer;                ///< drivers: per-block bit staging
   std::vector<std::uint8_t> arena;        ///< drivers: batch payload staging
   Stats stats;                            ///< drivers: per-thread accounting
+
+  /// Size the encode scratch for blocks of `spec`, and give the bit
+  /// staging buffer and the payload arena room for one raw block each,
+  /// so the first compress_block into this workspace allocates nothing.
+  void reserve_encode(const BlockSpec& spec);
 };
 
 /// Compress one block into `w` and account into `stats` (may be null).

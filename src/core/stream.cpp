@@ -418,7 +418,14 @@ void StreamWriter::flush_batch_() {
   // serializer below then writes them in append order, so the container
   // bytes cannot depend on scheduling.
   if (workspaces_.size() < static_cast<std::size_t>(nthreads)) {
+    // Size every new worker's workspace now: the schedule may hand a
+    // worker no chunk in this batch, and it must not then warm up
+    // inside a later, steady-state one.
+    const std::size_t sized = workspaces_.size();
     workspaces_.resize(static_cast<std::size_t>(nthreads));
+    for (std::size_t t = sized; t < workspaces_.size(); ++t) {
+      workspaces_[t].reserve_encode(spec_);
+    }
   }
   for (int t = 0; t < nthreads; ++t) {
     workspaces_[t].arena.clear();   // capacity retained

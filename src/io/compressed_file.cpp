@@ -319,7 +319,8 @@ std::size_t ShardWriter::finish() {
 ShardedDatasetWriter::ShardedDatasetWriter(
     const std::string& dir, const std::string& basename, std::string label,
     const qc::BlockShape& shape, std::size_t num_blocks,
-    const Params& params, int num_shards, const ShardIo& io)
+    const Params& params, int num_shards, const ShardIo& io,
+    std::size_t first_shard)
     : dir_(dir),
       basename_(basename),
       label_(std::move(label)),
@@ -327,7 +328,13 @@ ShardedDatasetWriter::ShardedDatasetWriter(
       num_blocks_(num_blocks),
       params_(params),
       layout_(make_shard_layout(num_blocks, num_shards)),
-      io_(io) {}
+      io_(io),
+      shard_(first_shard) {
+  if (first_shard > layout_.num_shards) {
+    throw std::invalid_argument(
+        "ShardedDatasetWriter: first shard past the layout");
+  }
+}
 
 ShardedDatasetWriter::~ShardedDatasetWriter() = default;
 
@@ -338,10 +345,14 @@ void ShardedDatasetWriter::roll_() {
       cur_ = std::make_unique<ShardWriter>(
           dir_, basename_, static_cast<int>(shard_), spec, params_,
           layout_.blocks_per_shard[shard_], io_);
-      blocks_in_shard_ = 0;
+      values_in_shard_ = 0;
     }
-    if (blocks_in_shard_ < layout_.blocks_per_shard[shard_]) return;
+    if (values_in_shard_ <
+        layout_.blocks_per_shard[shard_] * shape_.block_size()) {
+      return;
+    }
     total_bytes_ += cur_->finish();
+    stats_.merge(cur_->stats());
     io_stats_.backpressure_wait_ns += cur_->io_stats().backpressure_wait_ns;
     io_stats_.idle_wait_ns += cur_->io_stats().idle_wait_ns;
     io_stats_.apply_ns += cur_->io_stats().apply_ns;
@@ -351,41 +362,35 @@ void ShardedDatasetWriter::roll_() {
 }
 
 void ShardedDatasetWriter::put_block(std::span<const double> block) {
-  roll_();
-  if (!cur_) {
-    throw std::runtime_error(
-        "ShardedDatasetWriter: more blocks than declared");
+  if (block.size() != shape_.block_size()) {
+    throw std::invalid_argument("ShardedDatasetWriter: block size mismatch");
   }
-  cur_->put_block(block);
-  ++blocks_in_shard_;
-  ++blocks_written_;
+  put_values(block);
 }
 
 void ShardedDatasetWriter::put_values(std::span<const double> values) {
-  const std::size_t bs = shape_.block_size();
-  if (!tail_.empty()) {
-    const std::size_t take = std::min(bs - tail_.size(), values.size());
-    tail_.insert(tail_.end(), values.begin(), values.begin() + take);
-    values = values.subspan(take);
-    if (tail_.size() == bs) {
-      put_block(tail_);
-      tail_.clear();
+  while (!values.empty()) {
+    roll_();
+    if (!cur_) {
+      throw std::runtime_error(
+          "ShardedDatasetWriter: more blocks than declared");
     }
+    const std::size_t room =
+        layout_.blocks_per_shard[shard_] * shape_.block_size() -
+        values_in_shard_;
+    const std::size_t take = std::min(room, values.size());
+    cur_->put_values(values.first(take));
+    values_in_shard_ += take;
+    values_written_ += take;
+    values = values.subspan(take);
   }
-  while (values.size() >= bs) {
-    put_block(values.first(bs));
-    values = values.subspan(bs);
-  }
-  if (!values.empty()) tail_.assign(values.begin(), values.end());
 }
 
 std::size_t ShardedDatasetWriter::finish() {
-  if (!tail_.empty()) {
-    throw std::runtime_error(
-        "ShardedDatasetWriter: trailing partial block");
-  }
-  roll_();  // finishes the open shard and any remaining zero-block ones
-  if (blocks_written_ != num_blocks_ || shard_ != layout_.num_shards) {
+  // Finishes the open shard and any remaining zero-block ones; a short
+  // count, a trailing partial block included, leaves a shard open.
+  roll_();
+  if (shard_ != layout_.num_shards) {
     throw std::runtime_error(
         "ShardedDatasetWriter: fewer blocks than declared");
   }

@@ -25,9 +25,9 @@ struct ShardLayout {
 
 /// The contiguous layout every sharded writer/reader in this module
 /// uses: blocks are dealt round-down with the remainder spread over the
-/// leading shards.  Exposed so out-of-process writers (the pipeline's
-/// resume path, the fork-based bench ranks) can address "shard s holds
-/// dataset blocks [first_block(s), first_block(s)+count)" without a
+/// leading shards.  Exposed so per-rank writers and the pipeline's
+/// resume probe can address "shard s holds dataset blocks
+/// [first_block(s), first_block(s)+count)" without a
 /// ShardedDatasetWriter instance.
 ShardLayout make_shard_layout(std::size_t num_blocks, int num_shards);
 
@@ -35,8 +35,8 @@ ShardLayout make_shard_layout(std::size_t num_blocks, int num_shards);
 std::size_t shard_first_block(const ShardLayout& layout, std::size_t s);
 
 /// Write the dataset manifest for shards produced outside
-/// ShardedDatasetWriter (per-rank dumps, resumed dumps).  The layout
-/// must describe the shard files actually on disk.
+/// ShardedDatasetWriter (per-rank dumps).  The layout must describe the
+/// shard files actually on disk.
 void write_dataset_manifest(const std::string& dir,
                             const std::string& basename,
                             const std::string& label,
@@ -131,25 +131,41 @@ class ShardedDatasetWriter {
  public:
   /// The dataset metadata (label/shape/total block count) is declared
   /// up-front -- it fixes the shard layout and the manifest contents.
+  /// Writing starts at shard `first_shard`, i.e. at dataset block
+  /// shard_first_block(layout, first_shard): a resumed dump keeps the
+  /// shards before it as they are on disk.  Throws std::invalid_argument
+  /// if `first_shard` is past the last shard.
   ShardedDatasetWriter(const std::string& dir, const std::string& basename,
                        std::string label, const qc::BlockShape& shape,
                        std::size_t num_blocks, const Params& params,
-                       int num_shards, const ShardIo& io = {});
+                       int num_shards, const ShardIo& io = {},
+                       std::size_t first_shard = 0);
   ~ShardedDatasetWriter();
   ShardedDatasetWriter(const ShardedDatasetWriter&) = delete;
   ShardedDatasetWriter& operator=(const ShardedDatasetWriter&) = delete;
 
+  /// Append one block / an arbitrary slice of values.  Each shard's part
+  /// of a slice goes to its ShardWriter in one put_values call; a
+  /// partial block tail carries over to the next call.  Throws
+  /// std::runtime_error past the declared block count.
   void put_block(std::span<const double> block);
   void put_values(std::span<const double> values);
 
-  std::size_t blocks_written() const { return blocks_written_; }
+  /// Whole blocks appended through this writer.
+  std::size_t blocks_written() const {
+    return values_written_ / shape_.block_size();
+  }
+
+  /// Codec stats, summed over finished shards.
+  const Stats& stats() const { return stats_; }
 
   /// Summed over finished shards (zeros when io is synchronous).
   const ShardIoStats& io_stats() const { return io_stats_; }
 
   /// Finish the open shard, write the manifest.  Throws
   /// std::runtime_error unless exactly the declared number of blocks
-  /// was appended.  Returns total compressed bytes across shards.
+  /// was appended.  Returns total compressed bytes of the shards this
+  /// writer wrote.
   std::size_t finish();
 
  private:
@@ -161,14 +177,14 @@ class ShardedDatasetWriter {
   Params params_;
   ShardLayout layout_;
   ShardIo io_;
+  Stats stats_;
   ShardIoStats io_stats_;
 
   std::unique_ptr<ShardWriter> cur_;
   std::size_t shard_ = 0;            // index of the open/next shard
-  std::size_t blocks_in_shard_ = 0;  // appended to the open shard
-  std::size_t blocks_written_ = 0;
+  std::size_t values_in_shard_ = 0;  // appended to the open shard
+  std::size_t values_written_ = 0;
   std::size_t total_bytes_ = 0;
-  std::vector<double> tail_;  // partial block from put_values
 };
 
 /// Compress `ds` into `num_shards` independent streams under

@@ -45,8 +45,7 @@ bool remove_rank_file(const std::string& dir, const std::string& basename,
                       int rank);
 
 /// Dump `data` split evenly over `ranks` files, each written serially;
-/// returns total elapsed seconds.  Used to measure the local single-node
-/// write rate that seeds the PfsModel.
+/// returns total elapsed seconds.
 double timed_dump(const std::string& dir, const std::string& basename,
                   int ranks, std::span<const std::uint8_t> data);
 

@@ -40,7 +40,7 @@ BasisSet make_basis(const Molecule& mol, const BasisOptions& opt) {
   for (std::size_t ai = 0; ai < mol.atoms.size(); ++ai) {
     const Atom& atom = mol.atoms[ai];
     if (opt.heavy_atoms_only && atom.Z == 1) continue;
-    const double a_tight = base_exponent(atom.Z, opt.l) * opt.exponent_scale;
+    const double a_tight = base_exponent(atom.Z, opt.l);
     // Hydrogens typically carry one polarization shell of each type.
     const int nsh = (atom.Z == 1) ? 1 : opt.shells_per_atom;
     for (int si = 0; si < nsh; ++si) {

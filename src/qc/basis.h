@@ -19,7 +19,6 @@ struct BasisOptions {
   int shells_per_atom = 2;  ///< tight->diffuse exponent spread, as in
                             ///< triple-zeta polarization sets
   bool heavy_atoms_only = false;  ///< real sets put d (and f) on H too
-  double exponent_scale = 1.0;    ///< global scale knob for exponents
 };
 
 /// A basis: a flat list of shells over a molecule.

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 #include <numbers>
-#include <vector>
 
 namespace pastri::qc {
 namespace {
@@ -46,54 +45,6 @@ void boys_large(double T, int m, std::span<double> out) {
   }
 }
 
-// ---- tabulated moderate-T path ------------------------------------------
-//
-// Grid of exact Boys values every 1/16 over [0, 42], per order up to
-// kMaxBoysOrder + 8.  F_m(T) at the top requested order comes from the
-// 8-term Taylor expansion around the nearest grid point T*:
-//
-//   F_m(T) = sum_{k=0..7} F_{m+k}(T*) (T* - T)^k / k!
-//
-// (dF_m/dT = -F_{m+1}, so all derivatives are table entries.)  With
-// |T* - T| <= 1/32 the truncation error is bounded by
-// (1/32)^8 / 8! ~= 2e-17, below double epsilon; lower orders follow by
-// the same downward recursion the exact path uses, which is a
-// contraction and cannot amplify that error.
-
-constexpr double kTableStep = 1.0 / 16.0;
-constexpr double kTableInvStep = 16.0;
-constexpr int kTablePoints = 16 * 42 + 1;  // T = 0, 1/16, ..., 42
-constexpr int kTaylorTerms = 8;
-constexpr int kTableOrders = kMaxBoysOrder + kTaylorTerms;  // top order stored
-
-struct BoysTable {
-  std::vector<double> values;  // values[idx * (kTableOrders+1) + n] = F_n
-
-  BoysTable()
-      : values(static_cast<std::size_t>(kTablePoints) * (kTableOrders + 1)) {
-    for (int idx = 0; idx < kTablePoints; ++idx) {
-      const double T = idx * kTableStep;
-      double* F = &values[static_cast<std::size_t>(idx) * (kTableOrders + 1)];
-      if (T < 1e-14) {
-        for (int n = 0; n <= kTableOrders; ++n) F[n] = 1.0 / (2.0 * n + 1.0);
-        continue;
-      }
-      // Same scheme as the exact path: series at the very top order, then
-      // downward recursion -- the grid holds reference-quality values.
-      const double expT = std::exp(-T);
-      F[kTableOrders] = boys_series(T, kTableOrders);
-      for (int n = kTableOrders; n > 0; --n) {
-        F[n - 1] = (2.0 * T * F[n] + expT) / (2.0 * n - 1.0);
-      }
-    }
-  }
-};
-
-const BoysTable& boys_table_instance() {
-  static const BoysTable table;  // built once, thread-safe magic static
-  return table;
-}
-
 }  // namespace
 
 void boys(double T, int m, std::span<double> out) {
@@ -119,47 +70,9 @@ void boys(double T, int m, std::span<double> out) {
   }
 }
 
-void boys_table(double T, int m, std::span<double> out) {
-  assert(m >= 0 && m <= kMaxBoysOrder);
-  assert(out.size() >= static_cast<std::size_t>(m) + 1);
-  assert(T >= 0.0);
-
-  if (T < 1e-14) {
-    boys_tiny(m, out);
-    return;
-  }
-  if (T > 42.0) {
-    boys_large(T, m, out);
-    return;
-  }
-
-  const BoysTable& tab = boys_table_instance();
-  const int idx = static_cast<int>(T * kTableInvStep + 0.5);
-  const double d = idx * kTableStep - T;  // |d| <= 1/32
-  const double* F =
-      &tab.values[static_cast<std::size_t>(idx) * (kTableOrders + 1) + m];
-  // Horner over sum_k F_{m+k} d^k / k!.
-  double top = F[kTaylorTerms - 1];
-  for (int k = kTaylorTerms - 1; k > 0; --k) {
-    top = F[k - 1] + top * (d / k);
-  }
-  out[m] = top;
-
-  const double expT = std::exp(-T);
-  for (int i = m; i > 0; --i) {
-    out[i - 1] = (2.0 * T * out[i] + expT) / (2.0 * i - 1.0);
-  }
-}
-
 double boys(double T, int m) {
   double buf[kMaxBoysOrder + 1];
   boys(T, m, std::span<double>(buf, m + 1));
-  return buf[m];
-}
-
-double boys_table(double T, int m) {
-  double buf[kMaxBoysOrder + 1];
-  boys_table(T, m, std::span<double>(buf, m + 1));
   return buf[m];
 }
 

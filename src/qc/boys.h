@@ -5,17 +5,10 @@
 //
 // McMurchie-Davidson Hermite Coulomb integrals R^n_{tuv} bottom out in
 // F_n(alpha * |P-Q|^2), so accuracy here bounds accuracy of every ERI the
-// engine produces.  Two implementations share the small-T closed form and
-// the large-T asymptotic branch and differ only in the moderate-T regime:
-//
-//   exact   convergent power series at the highest required order (up to
-//           ~130 iterations) plus stable downward recursion -- the
-//           reference path, and the default everywhere.
-//   table   8-term Taylor interpolation off a precomputed grid
-//           (spacing 1/16 over [0, 42], per order), then the same
-//           downward recursion.  Agrees with the exact path to ~1e-15
-//           absolute (tests pin <= 1e-14 over a dense T x m grid) at a
-//           small fraction of the series cost.
+// engine produces.  Three regimes: a closed form at T ~ 0, the
+// asymptotic form with upward recursion for T > 42, and in between a
+// convergent power series at the highest required order (up to ~130
+// iterations) plus stable downward recursion.
 #pragma once
 
 #include <cstddef>
@@ -27,34 +20,11 @@ namespace pastri::qc {
 /// margin for derivative-style use).
 inline constexpr int kMaxBoysOrder = 28;
 
-/// Which moderate-T evaluation the ERI engine should use.  The exact
-/// series is the reference; the table path trades <= ~1e-15 absolute
-/// agreement for speed, which changes generated datasets within that
-/// bound (so it is opt-in via DatasetOptions::boys_mode).
-enum class BoysMode {
-  Exact,
-  Table,
-};
-
-/// Fill out[0..m] with F_0(T)..F_m(T) via the exact series path.
+/// Fill out[0..m] with F_0(T)..F_m(T).
 /// Requires 0 <= m <= kMaxBoysOrder, T >= 0, out.size() >= m+1.
 void boys(double T, int m, std::span<double> out);
 
-/// Tabulated fast path: identical small-T / large-T branches, Taylor
-/// interpolation in the moderate-T regime.  Same contract as boys().
-void boys_table(double T, int m, std::span<double> out);
-
-/// Dispatch on mode; BoysMode::Exact is bit-identical to boys().
-inline void boys(BoysMode mode, double T, int m, std::span<double> out) {
-  if (mode == BoysMode::Table) {
-    boys_table(T, m, out);
-  } else {
-    boys(T, m, out);
-  }
-}
-
-/// Convenience scalar versions.
+/// Convenience scalar version.
 double boys(double T, int m);
-double boys_table(double T, int m);
 
 }  // namespace pastri::qc

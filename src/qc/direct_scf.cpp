@@ -81,19 +81,18 @@ Matrix DirectFockBuilder::build_g(const Matrix& density) const {
 }
 
 ScfResult run_rhf_direct(const Molecule& mol, const BasisSet& basis,
-                         const ScfOptions& opt, double screen_threshold) {
+                         double screen_threshold) {
   const DirectFockBuilder builder(basis, screen_threshold);
-  return run_rhf(
-      mol, basis, [&](const Matrix& d) { return builder.build_g(d); }, opt);
+  return run_rhf(mol, basis,
+                 [&](const Matrix& d) { return builder.build_g(d); });
 }
 
 ScfResult run_rhf_from_store(const Molecule& mol, const BasisSet& basis,
                              const CompressedEriStore& store,
-                             const ScfOptions& opt,
                              double screen_threshold) {
   const DirectFockBuilder builder(basis, store, screen_threshold);
-  return run_rhf(
-      mol, basis, [&](const Matrix& d) { return builder.build_g(d); }, opt);
+  return run_rhf(mol, basis,
+                 [&](const Matrix& d) { return builder.build_g(d); });
 }
 
 }  // namespace pastri::qc

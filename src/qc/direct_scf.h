@@ -61,7 +61,6 @@ class DirectFockBuilder {
 /// Restricted Hartree-Fock with direct (recomputed) integrals.
 /// Produces the same fixed point as run_rhf on the dense tensor.
 ScfResult run_rhf_direct(const Molecule& mol, const BasisSet& basis,
-                         const ScfOptions& opt = {},
                          double screen_threshold = 1e-12);
 
 /// Restricted Hartree-Fock consuming compressed integrals
@@ -69,7 +68,6 @@ ScfResult run_rhf_direct(const Molecule& mol, const BasisSet& basis,
 /// the energy agrees to within what the store's error bound allows).
 ScfResult run_rhf_from_store(const Molecule& mol, const BasisSet& basis,
                              const CompressedEriStore& store,
-                             const ScfOptions& opt = {},
                              double screen_threshold = 1e-12);
 
 }  // namespace pastri::qc

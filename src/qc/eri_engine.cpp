@@ -100,19 +100,19 @@ SlotBasis slot_basis(const Molecule& mol, const DatasetOptions& opt) {
 
 /// Everything `generate_eri_dataset` decides before computing a single
 /// integral: the quartet plan over the slots' shells (pairs and Schwarz
-/// table), the surviving sample as shell indices into the plan's union
-/// basis (screened quartets skipped), and the dataset metadata.  Immutable
+/// table), the sample as shell indices into the plan's union basis
+/// (screened quartets marked skip, computed as zeros), and the dataset
+/// metadata.  Immutable
 /// once built, so concurrent readers are safe.
 struct EriPlan {
   QuartetPlan quartets;
   std::vector<Quartet> items;
   EriStreamMeta meta;
-  BoysMode boys_mode = BoysMode::Exact;
 };
 
 EriPlan plan_eri(const Molecule& mol, const DatasetOptions& opt) {
   const SlotBasis sb = slot_basis(mol, opt);
-  EriPlan plan{QuartetPlan(sb.basis), {}, {}, opt.boys_mode};
+  EriPlan plan{QuartetPlan(sb.basis), {}, {}};
   const std::size_t ns = plan.quartets.layout().num_shells();
   engine_metrics().pair_misses.add(ns * ns);
 
@@ -135,7 +135,7 @@ EriPlan plan_eri(const Molecule& mol, const DatasetOptions& opt) {
   const auto indices = sample_indices(total, std::min(total, max_blocks),
                                       opt.seed);
 
-  // Decide which sampled quartets survive screening.
+  // Mark the sampled quartets that fail the Schwarz screen.
   plan.items.reserve(indices.size());
   for (std::size_t flat : indices) {
     Quartet it;
@@ -148,7 +148,6 @@ EriPlan plan_eri(const Molecule& mol, const DatasetOptions& opt) {
     it.skip = plan.quartets.schwarz(it.a, it.b) *
                   plan.quartets.schwarz(it.c, it.d) <
               opt.screen_threshold;
-    if (it.skip && !opt.keep_screened) continue;
     plan.items.push_back(it);
   }
   plan.meta.num_blocks = plan.items.size();
@@ -226,8 +225,8 @@ void EriBlockGenerator::compute_range(std::size_t first, std::size_t count,
   std::chrono::steady_clock::time_point t0;
   if (timed) t0 = std::chrono::steady_clock::now();
   const BatchCounts done = plan.quartets.compute_batch(
-      std::span<const Quartet>(plan.items).subspan(first, count), bs,
-      plan.boys_mode, 0, out);
+      std::span<const Quartet>(plan.items).subspan(first, count), bs, 0,
+      out);
   metrics.quartets.add(count);
   metrics.boys_evals.add(done.boys_evals);
   metrics.pair_hits.add(2 * done.computed);  // bra + ket per quartet

@@ -37,16 +37,6 @@ struct DatasetOptions {
   /// Schwarz product threshold below which a quartet is screened out
   /// (emitted as zeros).  GAMESS uses ~1e-10..1e-12 integral cutoffs.
   double screen_threshold = 1e-12;
-
-  /// If false, screened quartets are dropped from the sample instead of
-  /// being stored as zero blocks.
-  bool keep_screened = true;
-
-  /// Boys-function path for integral evaluation.  Exact (the default) is
-  /// the bit-pinned reference; Table swaps in the tabulated Taylor fast
-  /// path (<= ~1e-15 absolute agreement, so generated values -- and thus
-  /// compressed bytes -- may differ within that bound).
-  BoysMode boys_mode = BoysMode::Exact;
 };
 
 /// Parse "(dd|dd)"-style names ("dddd", "(fd|ff)", ...) into a config.

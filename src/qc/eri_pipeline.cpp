@@ -7,12 +7,12 @@
 #include <chrono>
 #include <exception>
 #include <functional>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
+#include "core/stream.h"
 #include "io/file_per_process.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -173,122 +173,7 @@ void finalize_result(EriPipelineResult& res, const PumpStats& ps,
   pipeline_metrics().overlap_pct.set(100.0 * res.overlap_efficiency);
 }
 
-/// Routes a stream of whole blocks into consecutive shard containers,
-/// starting mid-layout -- ShardedDatasetWriter's roll logic, minus the
-/// from-zero assumption, which is what a resumed dump needs.
-class ShardRoller {
- public:
-  ShardRoller(const std::string& dir, const std::string& basename,
-              const io::ShardLayout& layout, const BlockSpec& spec,
-              const Params& params, const io::ShardIo& io,
-              std::size_t block_size, std::size_t start_shard)
-      : dir_(dir),
-        basename_(basename),
-        layout_(layout),
-        spec_(spec),
-        params_(params),
-        io_(io),
-        bs_(block_size),
-        shard_(start_shard) {}
-
-  void put(std::span<const double> values) {
-    while (!values.empty()) {
-      roll_();
-      if (!cur_) {
-        throw std::runtime_error("ShardRoller: more blocks than layout");
-      }
-      const std::size_t room =
-          layout_.blocks_per_shard[shard_] - blocks_in_shard_;
-      const std::size_t take = std::min(room, values.size() / bs_);
-      cur_->put_values(values.first(take * bs_));
-      blocks_in_shard_ += take;
-      values = values.subspan(take * bs_);
-    }
-  }
-
-  void finish() { roll_(); }
-
-  std::size_t bytes() const { return bytes_; }
-  const Stats& stats() const { return stats_; }
-  const io::ShardIoStats& io_stats() const { return io_stats_; }
-
- private:
-  void roll_() {
-    while (shard_ < layout_.num_shards) {
-      if (!cur_) {
-        cur_ = std::make_unique<io::ShardWriter>(
-            dir_, basename_, static_cast<int>(shard_), spec_, params_,
-            layout_.blocks_per_shard[shard_], io_);
-        blocks_in_shard_ = 0;
-      }
-      if (blocks_in_shard_ < layout_.blocks_per_shard[shard_]) return;
-      bytes_ += cur_->finish();
-      stats_.merge(cur_->stats());
-      io_stats_.backpressure_wait_ns +=
-          cur_->io_stats().backpressure_wait_ns;
-      io_stats_.idle_wait_ns += cur_->io_stats().idle_wait_ns;
-      io_stats_.apply_ns += cur_->io_stats().apply_ns;
-      cur_.reset();
-      ++shard_;
-    }
-  }
-
-  const std::string& dir_;
-  const std::string& basename_;
-  const io::ShardLayout& layout_;
-  BlockSpec spec_;
-  const Params& params_;
-  io::ShardIo io_;
-  std::size_t bs_;
-  std::size_t shard_;
-  std::size_t blocks_in_shard_ = 0;
-  std::unique_ptr<io::ShardWriter> cur_;
-  std::size_t bytes_ = 0;
-  Stats stats_;
-  io::ShardIoStats io_stats_;
-};
-
 }  // namespace
-
-EriPipelineResult compress_eri_stream(const Molecule& mol,
-                                      const DatasetOptions& opt,
-                                      const Params& params, ByteSink& sink,
-                                      const EriPipelineOptions& popt) {
-  const auto t_start = std::chrono::steady_clock::now();
-  const EriBlockGenerator gen(mol, opt);
-  const EriStreamMeta& meta = gen.meta();
-  const BlockSpec spec{meta.shape.num_sub_blocks(),
-                       meta.shape.sub_block_size()};
-  const std::size_t batch = chunk_blocks(popt, spec, params);
-
-  std::unique_ptr<AsyncSink> async;
-  if (popt.async_io) async = std::make_unique<AsyncSink>(sink);
-  StreamWriter writer(
-      async ? static_cast<ByteSink&>(*async) : sink, spec, params,
-      StreamWriterOptions{.batch_blocks = batch,
-                          .expected_blocks = meta.num_blocks});
-
-  EriPipelineResult res;
-  res.meta = meta;
-  const PumpStats ps = pump_blocks(
-      gen, 0, meta.num_blocks, batch, popt.queue_depth,
-      [&](std::span<const double> values) {
-        writer.put_values(values);
-      });
-
-  const auto t_fin = std::chrono::steady_clock::now();
-  res.bytes_written = writer.finish();
-  res.stats = writer.stats();
-  if (async) {
-    async->flush();
-    res.io_stall_ns = async->backpressure_wait_ns();
-    res.io_ns = async->apply_ns();
-    async.reset();
-  }
-  res.encode_ns = since_ns(t_fin);  // finish() runs on the encode stage
-  finalize_result(res, ps, since_ns(t_start));
-  return res;
-}
 
 EriDumpResult dump_eri_sharded(const Molecule& mol, const DatasetOptions& opt,
                                const Params& params, const std::string& dir,
@@ -298,7 +183,6 @@ EriDumpResult dump_eri_sharded(const Molecule& mol, const DatasetOptions& opt,
   const auto t_start = std::chrono::steady_clock::now();
   const EriBlockGenerator gen(mol, opt);
   const EriStreamMeta& meta = gen.meta();
-  const std::size_t bs = meta.shape.block_size();
   const io::ShardLayout layout =
       io::make_shard_layout(meta.num_blocks, dopt.num_shards);
 
@@ -327,27 +211,22 @@ EriDumpResult dump_eri_sharded(const Molecule& mol, const DatasetOptions& opt,
 
   const BlockSpec spec{meta.shape.num_sub_blocks(),
                        meta.shape.sub_block_size()};
-  io::ShardIo shard_io;
-  shard_io.async = popt.async_io;
-  ShardRoller roller(dir, basename, layout, spec, params, shard_io, bs,
-                     start_shard);
+  io::ShardedDatasetWriter writer(dir, basename, meta.label, meta.shape,
+                                  meta.num_blocks, params, dopt.num_shards,
+                                  io::ShardIo{.async = popt.async_io},
+                                  start_shard);
   const std::size_t first = io::shard_first_block(layout, start_shard);
   const PumpStats ps = pump_blocks(
       gen, first, meta.num_blocks - first, chunk_blocks(popt, spec, params),
       popt.queue_depth,
-      [&](std::span<const double> values) {
-        roller.put(values);
-      });
+      [&](std::span<const double> values) { writer.put_values(values); });
 
   const auto t_fin = std::chrono::steady_clock::now();
-  roller.finish();
-  io::write_dataset_manifest(dir, basename, meta.label, meta.shape,
-                             meta.num_blocks, layout);
-  res.pipeline.bytes_written = roller.bytes();
-  res.bytes_total += roller.bytes();
-  res.pipeline.stats = roller.stats();
-  res.pipeline.io_stall_ns = roller.io_stats().backpressure_wait_ns;
-  res.pipeline.io_ns = roller.io_stats().apply_ns;
+  res.pipeline.bytes_written = writer.finish();
+  res.bytes_total += res.pipeline.bytes_written;
+  res.pipeline.stats = writer.stats();
+  res.pipeline.io_stall_ns = writer.io_stats().backpressure_wait_ns;
+  res.pipeline.io_ns = writer.io_stats().apply_ns;
   res.pipeline.encode_ns = since_ns(t_fin);
   finalize_result(res.pipeline, ps, since_ns(t_start));
   return res;

@@ -157,11 +157,12 @@ std::vector<double> solve_linear(Matrix a, std::vector<double> b) {
   return x;
 }
 
-Matrix symmetric_orthogonalizer(const Matrix& s, double lindep_tol) {
+Matrix symmetric_orthogonalizer(const Matrix& s) {
+  constexpr double kLindepTol = 1e-10;
   const EigenResult eig = jacobi_eigensolver(s);
   const std::size_t n = s.size();
   for (double w : eig.eigenvalues) {
-    if (w < lindep_tol) {
+    if (w < kLindepTol) {
       throw std::runtime_error(
           "overlap matrix is (near-)singular; basis linearly dependent");
     }

@@ -59,8 +59,8 @@ EigenResult jacobi_eigensolver(const Matrix& a, int max_sweeps = 64,
 std::vector<double> solve_linear(Matrix a, std::vector<double> b);
 
 /// Loewdin symmetric orthogonalization: X = S^{-1/2}.
-/// Throws std::runtime_error if S is (numerically) singular.
-Matrix symmetric_orthogonalizer(const Matrix& s,
-                                double lindep_tol = 1e-10);
+/// Throws std::runtime_error if S is (numerically) singular: an overlap
+/// eigenvalue below 1e-10.
+Matrix symmetric_orthogonalizer(const Matrix& s);
 
 }  // namespace pastri::qc

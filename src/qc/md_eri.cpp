@@ -72,13 +72,13 @@ void HermiteR::ensure(int lmax_total) {
                0.0);
 }
 
-void HermiteR::compute(double alpha, const Vec3& PQ, int L, BoysMode mode) {
+void HermiteR::compute(double alpha, const Vec3& PQ, int L) {
   assert(L <= lmax_);
   const double T =
       alpha * (PQ[0] * PQ[0] + PQ[1] * PQ[1] + PQ[2] * PQ[2]);
 
   double F[kMaxBoysOrder + 1];
-  boys(mode, T, L, std::span<double>(F, L + 1));
+  boys(T, L, std::span<double>(F, L + 1));
 
   const std::size_t nstride = stride_ * stride_ * stride_;
   auto R = [&](int n, int t, int u, int v) -> double& {
@@ -243,7 +243,7 @@ void compute_eri_block(const ShellPairData& bra, const ShellPairData& ket,
       const double alpha = p * q / (p + q);
       const Vec3 PQ{pab.P[0] - pcd.P[0], pab.P[1] - pcd.P[1],
                     pab.P[2] - pcd.P[2]};
-      ws.R.compute(alpha, PQ, L, ws.boys_mode);
+      ws.R.compute(alpha, PQ, L);
       ++ws.boys_evals;
       const double pref =
           2.0 * kPi52 / (p * q * std::sqrt(p + q)) * pab.cc * pcd.cc;
@@ -296,7 +296,7 @@ double schwarz_bound(const ShellPairData& pair, EriWorkspace& ws) {
       const double alpha = p * q / (p + q);
       const Vec3 PQ{pab.P[0] - pcd.P[0], pab.P[1] - pcd.P[1],
                     pab.P[2] - pcd.P[2]};
-      ws.R.compute(alpha, PQ, L, ws.boys_mode);
+      ws.R.compute(alpha, PQ, L);
       ++ws.boys_evals;
       const double pref =
           2.0 * kPi52 / (p * q * std::sqrt(p + q)) * pab.cc * pcd.cc;

@@ -71,8 +71,7 @@ class HermiteR {
 
   /// Fill for the given alpha and PQ = P - Q vector.
   /// `l_total` must be <= the lmax_total last given to ensure().
-  void compute(double alpha, const Vec3& PQ, int l_total,
-               BoysMode mode = BoysMode::Exact);
+  void compute(double alpha, const Vec3& PQ, int l_total);
 
   double operator()(int t, int u, int v) const {
     return r0_[index_(t, u, v)];
@@ -159,13 +158,11 @@ class ShellPairData {
 };
 
 /// Reusable per-worker scratch for the quartet kernels: the HermiteR
-/// tensor, the Schwarz diagonal buffer, and the Boys evaluation mode +
-/// counter.  One workspace per thread; after warm-up the kernels do not
-/// allocate.
+/// tensor, the Schwarz diagonal buffer, and the Boys call counter.  One
+/// workspace per thread; after warm-up the kernels do not allocate.
 struct EriWorkspace {
   HermiteR R;
   std::vector<double> diag;  ///< schwarz_bound scratch
-  BoysMode boys_mode = BoysMode::Exact;
   std::uint64_t boys_evals = 0;  ///< Boys calls made through this workspace
 };
 

@@ -25,12 +25,6 @@ void add_atom(Molecule& m, const std::string& sym, double x_ang,
 
 }  // namespace
 
-std::size_t Molecule::num_heavy_atoms() const {
-  std::size_t n = 0;
-  for (const auto& a : atoms) n += (a.Z > 1);
-  return n;
-}
-
 double Molecule::diameter() const {
   double d2 = 0.0;
   for (std::size_t i = 0; i < atoms.size(); ++i) {

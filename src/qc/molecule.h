@@ -28,9 +28,6 @@ struct Molecule {
   std::string name;
   std::vector<Atom> atoms;
 
-  std::size_t num_atoms() const { return atoms.size(); }
-  std::size_t num_heavy_atoms() const;
-
   /// Largest inter-atomic distance (Bohr); a cheap sanity metric.
   double diameter() const;
 };

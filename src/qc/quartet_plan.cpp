@@ -106,7 +106,7 @@ void QuartetPlan::compute(std::size_t a, std::size_t b, std::size_t c,
 
 BatchCounts QuartetPlan::compute_batch(std::span<const Quartet> batch,
                                        std::size_t block_size,
-                                       BoysMode boys_mode, int num_threads,
+                                       int num_threads,
                                        std::span<double> out) const {
   if (out.size() != batch.size() * block_size) {
     throw std::invalid_argument(
@@ -118,7 +118,6 @@ BatchCounts QuartetPlan::compute_batch(std::span<const Quartet> batch,
       batch.size(), schedule_chunk(block_size), num_threads,
       [&](std::size_t begin, std::size_t end, int) {
         EriWorkspace& ws = tls_workspace();
-        ws.boys_mode = boys_mode;
         const std::uint64_t boys0 = ws.boys_evals;
         std::uint64_t done = 0;
         for (std::size_t i = begin; i < end; ++i) {
@@ -152,7 +151,7 @@ void QuartetPlan::compute_class(const std::array<int, 4>& cls,
   std::vector<double> values(cap * bs);
   const auto flush = [&] {
     const auto blocks = std::span<double>(values).first(batch.size() * bs);
-    compute_batch(batch, bs, BoysMode::Exact, num_threads, blocks);
+    compute_batch(batch, bs, num_threads, blocks);
     on_batch(batch, blocks);
     batch.clear();
   };

@@ -160,20 +160,19 @@ class QuartetPlan {
   /// all-zero.  parallel_for over `num_threads` threads (core/parallel.h),
   /// in chunks of 16 small blocks down to single blocks of 256
   /// integrals or more; serial when the batch fits in one chunk.
-  /// Each worker uses its thread's EriWorkspace, set to `boys_mode` on
-  /// every call.  Every block is compute()'s, so the bits do not depend
-  /// on the thread count.  Throws std::invalid_argument on a size
-  /// mismatch.
+  /// Each worker uses its thread's EriWorkspace.  Every block is
+  /// compute()'s, so the bits do not depend on the thread count.  Throws
+  /// std::invalid_argument on a size mismatch.
   BatchCounts compute_batch(std::span<const Quartet> batch,
-                            std::size_t block_size, BoysMode boys_mode,
-                            int num_threads, std::span<double> out) const;
+                            std::size_t block_size, int num_threads,
+                            std::span<double> out) const;
 
   using BatchFn =
       std::function<void(std::span<const Quartet>, std::span<const double>)>;
 
-  /// Compute every ordered quartet of momentum class `cls` with the exact
-  /// Boys function, in flat-index order, through compute_batch in batches
-  /// of at most auto_batch_blocks(class block spec, num_threads) blocks
+  /// Compute every ordered quartet of momentum class `cls`, in flat-index
+  /// order, through compute_batch in batches of at most
+  /// auto_batch_blocks(class block spec, num_threads) blocks
   /// (core/stream.h); on_batch(quartets, blocks) sees each batch once.
   /// Memory is O(batch), never O(class).
   void compute_class(const std::array<int, 4>& cls, int num_threads,

@@ -12,6 +12,17 @@
 namespace pastri::qc {
 namespace {
 
+constexpr int kMaxIterations = 200;
+constexpr double kEnergyTolerance = 1e-10;   ///< Hartree
+constexpr double kDensityTolerance = 1e-8;   ///< max |dD|
+constexpr std::size_t kDiisVectors = 6;      ///< DIIS history depth
+
+/// Converged when, past the first iteration, both the energy and the
+/// density have stopped moving.
+bool converged(int iter, double dE, double dD) {
+  return iter > 1 && dE < kEnergyTolerance && dD < kDensityTolerance;
+}
+
 /// Pulay DIIS state: history of Fock matrices and their orbital-gradient
 /// error vectors e = X^T (F D S - S D F) X.  `extrapolate` solves the
 /// constrained least-squares system and returns the mixed Fock matrix.
@@ -94,7 +105,7 @@ EriTensor compute_eri_tensor(const BasisSet& basis) {
 }
 
 ScfResult run_rhf(const Molecule& mol, const BasisSet& basis,
-                  const EriTensor& eri, const ScfOptions& opt) {
+                  const EriTensor& eri) {
   const std::size_t n = basis.num_basis_functions();
   if (eri.size() != n * n * n * n) {
     throw std::invalid_argument("RHF: ERI tensor size mismatch");
@@ -119,12 +130,11 @@ ScfResult run_rhf(const Molecule& mol, const BasisSet& basis,
     }
     return G;
   };
-  return run_rhf(mol, basis, g_of_d, opt);
+  return run_rhf(mol, basis, g_of_d);
 }
 
 ScfResult run_rhf(const Molecule& mol, const BasisSet& basis,
-                  const std::function<Matrix(const Matrix&)>& g_of_d,
-                  const ScfOptions& opt) {
+                  const std::function<Matrix(const Matrix&)>& g_of_d) {
   const std::size_t n = basis.num_basis_functions();
   const int nelec = electron_count(mol);
   if (nelec % 2 != 0) {
@@ -166,23 +176,21 @@ ScfResult run_rhf(const Molecule& mol, const BasisSet& basis,
   };
   D = build_density(H);
 
-  Diis diis(opt.diis_max_vectors);
+  Diis diis(kDiisVectors);
   double e_prev = 0.0;
-  for (int iter = 1; iter <= opt.max_iterations; ++iter) {
+  for (int iter = 1; iter <= kMaxIterations; ++iter) {
     // Fock build: F = H + G(D).
     Matrix F = H + g_of_d(D);
 
-    if (opt.use_diis) {
-      // DIIS error vector in the orthonormal basis.
-      const Matrix fds = F * D * S;
-      const Matrix err = X.transpose() * (fds - fds.transpose()) * X;
-      diis.push(F, err);
-      if (diis.ready()) {
-        try {
-          F = diis.extrapolate();
-        } catch (const std::runtime_error&) {
-          // Singular DIIS system (converged history): keep plain F.
-        }
+    // DIIS error vector in the orthonormal basis.
+    const Matrix fds = F * D * S;
+    const Matrix err = X.transpose() * (fds - fds.transpose()) * X;
+    diis.push(F, err);
+    if (diis.ready()) {
+      try {
+        F = diis.extrapolate();
+      } catch (const std::runtime_error&) {
+        // Singular DIIS system (converged history): keep plain F.
       }
     }
 
@@ -198,24 +206,12 @@ ScfResult run_rhf(const Molecule& mol, const BasisSet& basis,
     const double dD = D_new.max_abs_diff(D);
     const double dE = std::abs(e_elec - e_prev);
     e_prev = e_elec;
-
-    // Damped density update for robustness on stretched geometries
-    // (redundant under DIIS, which handles the mixing itself).
-    if (!opt.use_diis && iter > 1 && opt.density_mixing > 0.0) {
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          D_new(i, j) = opt.density_mixing * D(i, j) +
-                        (1.0 - opt.density_mixing) * D_new(i, j);
-        }
-      }
-    }
     D = D_new;
 
     res.iterations = iter;
     res.electronic_energy = e_elec;
     res.total_energy = e_elec + res.nuclear_repulsion;
-    if (iter > 1 && dE < opt.energy_tolerance &&
-        dD < opt.density_tolerance) {
+    if (converged(iter, dE, dD)) {
       res.converged = true;
       break;
     }
@@ -226,7 +222,7 @@ ScfResult run_rhf(const Molecule& mol, const BasisSet& basis,
 
 UhfResult run_uhf(const Molecule& mol, const BasisSet& basis,
                   const EriTensor& eri, std::size_t n_alpha,
-                  std::size_t n_beta, const ScfOptions& opt) {
+                  std::size_t n_beta) {
   const std::size_t n = basis.num_basis_functions();
   if (eri.size() != n * n * n * n) {
     throw std::invalid_argument("UHF: ERI tensor size mismatch");
@@ -279,9 +275,9 @@ UhfResult run_uhf(const Molecule& mol, const BasisSet& basis,
   Matrix Db = build_spin_density(H, n_beta, res.beta_orbital_energies,
                                  Cb);
 
-  Diis diis_a(opt.diis_max_vectors), diis_b(opt.diis_max_vectors);
+  Diis diis_a(kDiisVectors), diis_b(kDiisVectors);
   double e_prev = 0.0;
-  for (int iter = 1; iter <= opt.max_iterations; ++iter) {
+  for (int iter = 1; iter <= kMaxIterations; ++iter) {
     const Matrix Dt = Da + Db;
     Matrix Fa = H, Fb = H;
     for (std::size_t mu = 0; mu < n; ++mu) {
@@ -299,18 +295,16 @@ UhfResult run_uhf(const Molecule& mol, const BasisSet& basis,
       }
     }
 
-    if (opt.use_diis) {
-      const Matrix fas = Fa * Da * S;
-      diis_a.push(Fa, X.transpose() * (fas - fas.transpose()) * X);
-      const Matrix fbs = Fb * Db * S;
-      diis_b.push(Fb, X.transpose() * (fbs - fbs.transpose()) * X);
-      if (diis_a.ready() && diis_b.ready()) {
-        try {
-          Fa = diis_a.extrapolate();
-          Fb = diis_b.extrapolate();
-        } catch (const std::runtime_error&) {
-          // converged history -> keep plain Fock matrices
-        }
+    const Matrix fas = Fa * Da * S;
+    diis_a.push(Fa, X.transpose() * (fas - fas.transpose()) * X);
+    const Matrix fbs = Fb * Db * S;
+    diis_b.push(Fb, X.transpose() * (fbs - fbs.transpose()) * X);
+    if (diis_a.ready() && diis_b.ready()) {
+      try {
+        Fa = diis_a.extrapolate();
+        Fb = diis_b.extrapolate();
+      } catch (const std::runtime_error&) {
+        // converged history -> keep plain Fock matrices
       }
     }
 
@@ -338,8 +332,7 @@ UhfResult run_uhf(const Molecule& mol, const BasisSet& basis,
     res.iterations = iter;
     res.electronic_energy = e_elec;
     res.total_energy = e_elec + res.nuclear_repulsion;
-    if (iter > 1 && dE < opt.energy_tolerance &&
-        dD < opt.density_tolerance) {
+    if (converged(iter, dE, dD)) {
       res.converged = true;
       break;
     }

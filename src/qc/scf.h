@@ -28,16 +28,6 @@ using EriTensor = std::vector<double>;
 /// count, core/parallel.h); the tensor is bit-identical for any thread count.
 EriTensor compute_eri_tensor(const BasisSet& basis);
 
-struct ScfOptions {
-  int max_iterations = 200;
-  double energy_tolerance = 1e-10;   ///< Hartree
-  double density_tolerance = 1e-8;   ///< max |dD|
-  double density_mixing = 0.4;       ///< fraction of old D retained
-                                     ///< (any RHF entry, DIIS off)
-  bool use_diis = true;              ///< Pulay DIIS Fock extrapolation
-  std::size_t diis_max_vectors = 6;  ///< DIIS history depth
-};
-
 struct ScfResult {
   bool converged = false;
   int iterations = 0;
@@ -49,18 +39,22 @@ struct ScfResult {
   Matrix mo_coefficients;           ///< AO->MO coefficients (columns)
 };
 
+/// Every SCF entry point runs Pulay DIIS (history depth 6) for at most
+/// 200 iterations and converges when, after the first iteration, the
+/// energy moves by less than 1e-10 Hartree and the density by less than
+/// 1e-8 (max |dD|).
+
 /// Run restricted Hartree-Fock for a closed-shell molecule.
 /// Throws std::invalid_argument for an odd electron count.
 ScfResult run_rhf(const Molecule& mol, const BasisSet& basis,
-                  const EriTensor& eri, const ScfOptions& opt = {});
+                  const EriTensor& eri);
 
 /// The RHF loop every RHF entry point runs (dense, direct, from store):
 /// F = H + G(D), G(D) = J(D) - K(D)/2 from `g_of_d` (always passed a
 /// symmetric D).  Also throws when occupied orbitals outnumber basis
 /// functions.
 ScfResult run_rhf(const Molecule& mol, const BasisSet& basis,
-                  const std::function<Matrix(const Matrix&)>& g_of_d,
-                  const ScfOptions& opt = {});
+                  const std::function<Matrix(const Matrix&)>& g_of_d);
 
 struct UhfResult {
   bool converged = false;
@@ -82,6 +76,6 @@ struct UhfResult {
 /// with RHF.
 UhfResult run_uhf(const Molecule& mol, const BasisSet& basis,
                   const EriTensor& eri, std::size_t n_alpha,
-                  std::size_t n_beta, const ScfOptions& opt = {});
+                  std::size_t n_beta);
 
 }  // namespace pastri::qc

@@ -134,6 +134,35 @@ TEST(AllocFree, CompressBlockSteadyStateAllocatesNothing) {
       << "compress_block allocated in steady state";
 }
 
+/// StreamWriter reserves every new worker's workspace up-front, so a
+/// worker the schedule leaves idle for a while never warms up inside a
+/// steady-state batch: a reserved workspace's first encode, into its
+/// own bit staging buffer, allocates nothing.
+TEST(AllocFree, ReservedWorkspaceFirstEncodeAllocatesNothing) {
+  const auto data = make_blocks(2, 12);
+  Params params;
+  const auto block = std::span<const double>(data).first(kSpec.block_size());
+  {
+    // Build the lazy statics (metric registry shards, dispatch tables)
+    // on another workspace first.
+    CodecWorkspace other;
+    compress_block(block, kSpec, params, other.writer, nullptr, other);
+  }
+  CodecWorkspace ws;
+  ws.reserve_encode(kSpec);
+  const std::size_t mark = g_alloc_count.load();
+  for (std::size_t b = 0; b < 2; ++b) {
+    ws.writer.restart();
+    compress_block(std::span<const double>(data).subspan(
+                       b * kSpec.block_size(), kSpec.block_size()),
+                   kSpec, params, ws.writer, &ws.stats, ws);
+    const auto payload = ws.writer.finish_view();
+    ws.arena.insert(ws.arena.end(), payload.begin(), payload.end());
+  }
+  EXPECT_EQ(allocations_since(mark), 0u)
+      << "first encodes into a reserved workspace allocated";
+}
+
 TEST(AllocFree, DecompressBlockSteadyStateAllocatesNothing) {
   const std::size_t n = 64;
   const auto data = make_blocks(n, 12);

@@ -1,9 +1,7 @@
 // Tests for the Boys function, the numerical foundation of the ERI engine.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <numbers>
 #include <span>
 
@@ -120,82 +118,6 @@ TEST(Boys, SpanOverloadMatchesScalar) {
   for (int m = 0; m <= 10; ++m) {
     EXPECT_DOUBLE_EQ(buf[m], boys(7.3, m)) << "m=" << m;
   }
-}
-
-// ------------------------------------------------- tabulated fast path
-
-TEST(BoysTable, DifferentialAgainstSeriesOnDenseGrid) {
-  // The ISSUE-level accuracy contract: the Taylor-interpolated table
-  // stays within 1e-14 absolute of the exact series everywhere the ERI
-  // engine can ask, including deliberately off-grid arguments and both
-  // seams (tiny-T and the large-T switchover at 42).
-  double exact[kMaxBoysOrder + 1];
-  double fast[kMaxBoysOrder + 1];
-  const int n = kMaxBoysOrder + 1;
-  for (int i = 0; i <= 2000; ++i) {
-    // Irrational-ish step so samples never coincide with the 1/16 grid.
-    const double T = 50.0 * i / 2000.0 + (i % 7) * 1.3e-3;
-    boys(T, kMaxBoysOrder, std::span<double>(exact, n));
-    boys_table(T, kMaxBoysOrder, std::span<double>(fast, n));
-    for (int m = 0; m <= kMaxBoysOrder; ++m) {
-      ASSERT_NEAR(fast[m], exact[m], 1e-14) << "T=" << T << " m=" << m;
-    }
-  }
-}
-
-TEST(BoysTable, ScalarOverloadMatchesSpanAtSameOrder) {
-  // The scalar overload is defined as the top entry of a span call of
-  // the same order (Taylor at m, not recursion down from a higher top).
-  double buf[kMaxBoysOrder + 1];
-  for (double T : {0.0, 0.031249, 3.14159, 41.97, 42.03, 77.7}) {
-    for (int m : {0, 1, 8, kMaxBoysOrder}) {
-      boys_table(T, m, std::span<double>(buf, m + 1));
-      EXPECT_DOUBLE_EQ(boys_table(T, m), buf[m]) << "T=" << T << " m=" << m;
-    }
-  }
-}
-
-TEST(BoysTable, SharedBranchesAreBitIdenticalToExact) {
-  // Outside the tabulated window the table path falls through to the
-  // same tiny-T / large-T code as the series, so those regimes must be
-  // bit-identical, not merely close.
-  for (double T : {0.0, 5e-15, 42.0000001, 60.0, 500.0}) {
-    for (int m : {0, 4, kMaxBoysOrder}) {
-      const double a = boys(T, m);
-      const double b = boys_table(T, m);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(a),
-                std::bit_cast<std::uint64_t>(b))
-          << "T=" << T << " m=" << m;
-    }
-  }
-}
-
-TEST(BoysTable, ModeDispatchSelectsThePath) {
-  double a[4], b[4], c[4];
-  const double T = 6.283;  // off-grid, inside the tabulated window
-  boys(BoysMode::Exact, T, 3, std::span<double>(a, 4));
-  boys(BoysMode::Table, T, 3, std::span<double>(b, 4));
-  boys(T, 3, std::span<double>(c, 4));
-  for (int m = 0; m <= 3; ++m) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[m]),
-              std::bit_cast<std::uint64_t>(c[m]))
-        << "Exact mode must be the series, m=" << m;
-    EXPECT_NEAR(b[m], a[m], 1e-14) << "m=" << m;
-  }
-  // And the two paths genuinely differ in the last bits somewhere --
-  // otherwise this test is vacuously dispatching to one implementation.
-  bool any_diff = false;
-  for (double Ts : {0.77, 1.01, 2.47, 6.283, 11.9, 23.456, 39.1}) {
-    double ea[kMaxBoysOrder + 1], tb[kMaxBoysOrder + 1];
-    boys(BoysMode::Exact, Ts, kMaxBoysOrder,
-         std::span<double>(ea, kMaxBoysOrder + 1));
-    boys(BoysMode::Table, Ts, kMaxBoysOrder,
-         std::span<double>(tb, kMaxBoysOrder + 1));
-    for (int m = 0; m <= kMaxBoysOrder; ++m)
-      any_diff |= std::bit_cast<std::uint64_t>(ea[m]) !=
-                  std::bit_cast<std::uint64_t>(tb[m]);
-  }
-  EXPECT_TRUE(any_diff);
 }
 
 }  // namespace

@@ -95,9 +95,8 @@ TEST(DirectScf, FockBuildAndMp2ReadEachCanonicalQuartetOnce) {
 }
 
 TEST(DirectScf, EveryRhfEntryPointHonoursDiis) {
-  // All three RHF entry points run one loop: with DIIS on (the default)
-  // the direct and store-backed solves take the dense solve's iteration
-  // count; with it off they fall back to density mixing and take more.
+  // All three RHF entry points run one DIIS loop, so the direct and
+  // store-backed solves take the dense solve's iteration count.
   const Molecule mol = h2o_molecule();
   const BasisSet basis = make_sto3g_basis(mol);
   Params p;
@@ -110,16 +109,6 @@ TEST(DirectScf, EveryRhfEntryPointHonoursDiis) {
   ASSERT_TRUE(stored.converged);
   EXPECT_EQ(direct.iterations, dense.iterations);
   EXPECT_EQ(stored.iterations, dense.iterations);
-
-  ScfOptions plain;
-  plain.use_diis = false;
-  const ScfResult direct_plain = run_rhf_direct(mol, basis, plain);
-  const ScfResult stored_plain = run_rhf_from_store(mol, basis, store, plain);
-  ASSERT_TRUE(direct_plain.converged);
-  ASSERT_TRUE(stored_plain.converged);
-  EXPECT_GT(direct_plain.iterations, dense.iterations);
-  EXPECT_GT(stored_plain.iterations, dense.iterations);
-  EXPECT_NEAR(direct_plain.total_energy, dense.total_energy, 1e-7);
 }
 
 TEST(DirectScf, EnergyMatchesTensorScf) {
@@ -180,8 +169,8 @@ TEST(DirectScf, StoreBuilderRejectsMismatchedBasis) {
 TEST(DirectScf, ScreeningSkipsQuartetsWithoutChangingEnergy) {
   const Molecule mol = h2o_molecule();
   const BasisSet basis = make_sto3g_basis(mol);
-  const ScfResult loose = run_rhf_direct(mol, basis, {}, 1e-9);
-  const ScfResult exact = run_rhf_direct(mol, basis, {}, 0.0);
+  const ScfResult loose = run_rhf_direct(mol, basis, 1e-9);
+  const ScfResult exact = run_rhf_direct(mol, basis, 0.0);
   ASSERT_TRUE(loose.converged);
   EXPECT_NEAR(loose.total_energy, exact.total_energy, 1e-6);
 

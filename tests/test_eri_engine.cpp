@@ -99,16 +99,6 @@ TEST(Dataset, ScreenedBlocksAreZero) {
   for (double v : ds.values) EXPECT_EQ(v, 0.0);
 }
 
-TEST(Dataset, DropScreenedShrinksDataset) {
-  DatasetOptions o;
-  o.config = {1, 1, 1, 1};
-  o.max_blocks = 30;
-  o.screen_threshold = 1e30;
-  o.keep_screened = false;
-  const EriDataset ds = generate_eri_dataset(make_benzene(), o);
-  EXPECT_EQ(ds.num_blocks, 0u);
-}
-
 TEST(Dataset, ValuesHaveRealisticStructure) {
   const EriDataset& ds = testutil::small_eri_dataset();
   // Nonzero, finite, with a wide dynamic range.

@@ -3,11 +3,10 @@
 // workspace-threaded kernels are all refactors of the same FP operations
 // in the same order -- so the generated datasets must be BIT-identical
 // to the original per-quartet implementation.  These digests were
-// captured from the pre-cache engine and must never change on the
-// default (exact-Boys) path; any drift means a transformation stopped
-// being value-preserving.  The QuartetPlan suite holds the parallel
-// batch loop to the same bits: for any thread count, and whatever Boys
-// mode an earlier caller left on the thread's workspace.
+// captured from the pre-cache engine and must never change; any drift
+// means a transformation stopped being value-preserving.  The
+// QuartetPlan suite holds the parallel batch loop to the same bits for
+// any thread count.
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -55,11 +54,6 @@ std::uint64_t bits(double x) {
 
 using testutil::h2o_molecule;
 using testutil::methanol_molecule;
-
-std::uint64_t tensor_bytes_digest(const EriTensor& t) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(t.data());
-  return fnv1a({p, t.size() * sizeof(double)});
-}
 
 /// Every class stream of `store`, concatenated in class order.
 std::vector<std::uint8_t> class_streams(const CompressedEriStore& store) {
@@ -226,26 +220,6 @@ TEST(EriGolden, BasisTensorAndStoreDigestsMatchSeed) {
   EXPECT_EQ(fnv1a(streams), 0xfbc67e21c0aa5d8full);
 }
 
-TEST(EriGolden, TabulatedBoysTracksExactPath) {
-  // The opt-in fast Boys path is allowed to differ from the exact series
-  // -- but only at the ~1e-14 interpolation level, far below any
-  // compression error bound the pipeline would apply downstream.
-  const Molecule mol = make_molecule("benzene");
-  DatasetOptions opt;
-  opt.config = parse_config("(ff|ff)");
-  opt.contraction = 3;
-  opt.max_blocks = 8;
-  const EriDataset exact = generate_eri_dataset(mol, opt);
-  opt.boys_mode = BoysMode::Table;
-  const EriDataset table = generate_eri_dataset(mol, opt);
-  ASSERT_EQ(table.values.size(), exact.values.size());
-  double max_diff = 0.0;
-  for (std::size_t i = 0; i < exact.values.size(); ++i)
-    max_diff = std::max(max_diff, std::abs(table.values[i] - exact.values[i]));
-  EXPECT_LT(max_diff, 1e-10);
-  EXPECT_GT(max_diff, 0.0);  // it is a genuinely different evaluation path
-}
-
 TEST(EriGolden, PairCacheAndBoysCountersAdvance) {
   const auto counter_value = [](const obs::MetricsSnapshot& snap,
                                 std::string_view name) -> std::uint64_t {
@@ -303,7 +277,7 @@ TEST(QuartetPlan, BatchMatchesComputeAndZeroesSkippedSlots) {
   const std::size_t bs = 9;
   std::vector<double> out(batch.size() * bs, 7.0);
   const BatchCounts counts =
-      plan.compute_batch(batch, bs, BoysMode::Exact, 0, out);
+      plan.compute_batch(batch, bs, 0, out);
 
   EriWorkspace ws;
   std::vector<double> want(bs);
@@ -323,7 +297,7 @@ TEST(QuartetPlan, BatchMatchesComputeAndZeroesSkippedSlots) {
   }
   EXPECT_EQ(counts.computed, computed);
   EXPECT_EQ(counts.boys_evals, ws.boys_evals);
-  EXPECT_THROW(plan.compute_batch(batch, bs, BoysMode::Exact, 0,
+  EXPECT_THROW(plan.compute_batch(batch, bs, 0,
                                   std::span<double>(out).first(bs)),
                std::invalid_argument);
 }
@@ -354,26 +328,6 @@ TEST(QuartetPlan, TensorIdenticalForAnyThreadCount) {
   EXPECT_EQ(std::memcmp(parallel.data(), serial.data(),
                         serial.size() * sizeof(double)),
             0);
-}
-
-TEST(QuartetPlan, TableBoysModeDoesNotLeakIntoExactCallers) {
-  // On one thread every compute runs on this thread's one workspace: a
-  // Table-mode dataset first, then the exact-Boys store and tensor,
-  // which must still give the EriGolden.BasisTensorAndStoreDigestsMatchSeed
-  // bits.
-  const int threads = omp_get_max_threads();
-  omp_set_num_threads(1);
-  DatasetOptions opt;
-  opt.config = parse_config("(dd|dd)");
-  opt.max_blocks = 4;
-  opt.boys_mode = BoysMode::Table;
-  (void)generate_eri_dataset(make_molecule("benzene"), opt);
-  const BasisSet water = make_sto3g_basis(h2o_molecule());
-  const EriTensor tensor = compute_eri_tensor(water);
-  const CompressedEriStore store(water, Params{});
-  omp_set_num_threads(threads);
-  EXPECT_EQ(tensor_bytes_digest(tensor), 0xdf9ddcafc84745a1ull);
-  EXPECT_EQ(fnv1a(class_streams(store)), 0xfbc67e21c0aa5d8full);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "core/pipeline.h"
 #include "core/stream.h"
 #include "io/compressed_file.h"
+#include "io/file_per_process.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "qc/direct_scf.h"
@@ -190,11 +191,25 @@ class EriPipelineTest : public ::testing::Test {
     std::filesystem::remove_all(dir_, ec);
   }
 
-  std::vector<std::uint8_t> stream_bytes(const Params& p,
-                                         const qc::EriPipelineOptions& popt) {
-    VectorSink sink;
-    qc::compress_eri_stream(mol_, opt_, p, sink, popt);
-    return sink.take();
+  /// dump_eri_sharded into a single shard; `bytes` receives that shard's
+  /// file, one whole container.
+  qc::EriPipelineResult dump_one_shard(
+      const Params& p, std::vector<std::uint8_t>& bytes,
+      const qc::EriPipelineOptions& popt = {}) {
+    qc::EriDumpOptions dopt;
+    dopt.num_shards = 1;
+    const qc::EriDumpResult res =
+        qc::dump_eri_sharded(mol_, opt_, p, dir_, "one", dopt, popt);
+    bytes = slurp(io::rank_file_path(dir_, "one", 0));
+    return res.pipeline;
+  }
+
+  /// compress() of the dense dataset: what that one shard must hold.
+  std::vector<std::uint8_t> dense_container(const Params& p) {
+    const qc::EriDataset ds = qc::generate_eri_dataset(mol_, opt_);
+    const BlockSpec spec{ds.shape.num_sub_blocks(),
+                         ds.shape.sub_block_size()};
+    return compress(ds.values, spec, p);
   }
 
   std::string dir_;
@@ -204,10 +219,7 @@ class EriPipelineTest : public ::testing::Test {
 
 TEST_F(EriPipelineTest, BytesInvariantAcrossEveryKnob) {
   Params p;
-  const qc::EriDataset ds = qc::generate_eri_dataset(mol_, opt_);
-  const BlockSpec spec{ds.shape.num_sub_blocks(),
-                       ds.shape.sub_block_size()};
-  const auto golden = compress(ds.values, spec, p);
+  const auto golden = dense_container(p);
   ASSERT_FALSE(golden.empty());
 
   const int max_threads = omp_get_max_threads();
@@ -221,7 +233,9 @@ TEST_F(EriPipelineTest, BytesInvariantAcrossEveryKnob) {
           popt.batch_blocks = batch;
           popt.queue_depth = depth;
           popt.async_io = async_io;
-          EXPECT_EQ(stream_bytes(p, popt), golden)
+          std::vector<std::uint8_t> bytes;
+          dump_one_shard(p, bytes, popt);
+          EXPECT_EQ(bytes, golden)
               << "threads=" << threads << " batch=" << batch
               << " depth=" << depth << " async_io=" << async_io;
         }
@@ -241,12 +255,12 @@ TEST_F(EriPipelineTest, AutoChunksFollowTheEncodeBatch) {
   const BlockSpec spec{81, 16};  // (dd|dd)
   const std::size_t batch = auto_batch_blocks(spec, p.num_threads);
   opt_.max_blocks = batch + batch / 2;
-  VectorSink sink;
-  const qc::EriPipelineResult res =
-      qc::compress_eri_stream(mol_, opt_, p, sink);
+  std::vector<std::uint8_t> bytes;
+  const qc::EriPipelineResult res = dump_one_shard(p, bytes);
   ASSERT_EQ(res.meta.num_blocks, opt_.max_blocks);
   EXPECT_EQ(res.meta.shape.block_size(), spec.block_size());
   EXPECT_EQ(res.chunks, (res.meta.num_blocks + batch - 1) / batch);
+  EXPECT_EQ(bytes, dense_container(p));
 }
 
 TEST_F(EriPipelineTest, DumpMatchesDenseDatasetPathByteForByte) {
@@ -419,9 +433,8 @@ TEST_F(EriPipelineTest, PipelineMetricsAdvance) {
   };
   const auto before = obs::registry().snapshot();
   Params p;
-  VectorSink sink;
-  const qc::EriPipelineResult res =
-      qc::compress_eri_stream(mol_, opt_, p, sink);
+  std::vector<std::uint8_t> bytes;
+  const qc::EriPipelineResult res = dump_one_shard(p, bytes);
   const auto after = obs::registry().snapshot();
   EXPECT_GT(counter_value(after, obs::kQcPipelineChunks),
             counter_value(before, obs::kQcPipelineChunks));
@@ -430,7 +443,8 @@ TEST_F(EriPipelineTest, PipelineMetricsAdvance) {
   EXPECT_GT(res.compute_ns, 0u);
   EXPECT_GE(res.overlap_efficiency, 0.0);
   EXPECT_LE(res.overlap_efficiency, 1.0);
-  EXPECT_EQ(res.bytes_written, sink.bytes().size());
+  EXPECT_EQ(res.bytes_written, bytes.size());
+  EXPECT_EQ(bytes, dense_container(p));
 }
 
 // ------------------------------------------------- solvers off the store

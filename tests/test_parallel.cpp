@@ -167,7 +167,7 @@ TEST(Parallel, WorkThatFitsOneChunkStartsNoThreads) {
       << "16-block StreamConsumer batch";
   EXPECT_EQ(threads_started([&] {
               std::vector<double> out(quartets.size());
-              plan.compute_batch(quartets, 1, qc::BoysMode::Exact, 0, out);
+              plan.compute_batch(quartets, 1, 0, out);
             }),
             0)
       << "QuartetPlan::compute_batch of one chunk";

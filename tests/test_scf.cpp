@@ -164,21 +164,6 @@ TEST(Rhf, OrbitalEnergiesH2) {
   EXPECT_NEAR(res.orbital_energies[1], 0.670, 5e-3);
 }
 
-TEST(Rhf, DiisAcceleratesConvergence) {
-  const Molecule mol = h2o_molecule();
-  const BasisSet basis = make_sto3g_basis(mol);
-  const EriTensor eri = compute_eri_tensor(basis);
-  ScfOptions with, without;
-  without.use_diis = false;
-  const ScfResult r_diis = run_rhf(mol, basis, eri, with);
-  const ScfResult r_plain = run_rhf(mol, basis, eri, without);
-  ASSERT_TRUE(r_diis.converged);
-  ASSERT_TRUE(r_plain.converged);
-  // Same fixed point, fewer iterations.
-  EXPECT_NEAR(r_diis.total_energy, r_plain.total_energy, 1e-7);
-  EXPECT_LT(r_diis.iterations, r_plain.iterations);
-}
-
 TEST(Rhf, SolveLinearKnownSystem) {
   Matrix a(2);
   a(0, 0) = 2;
