@@ -17,7 +17,6 @@ BlockIndex BlockIndex::from_payload_sizes(
     idx.extents_.push_back({off, len});
     off += len;
   }
-  idx.payload_end_ = off;
   return idx;
 }
 
@@ -62,7 +61,6 @@ BlockIndex BlockIndex::parse(std::span<const std::uint8_t> table,
   if (r.bits_remaining() != 0) {
     throw std::runtime_error("PaSTRI: trailing bytes in block index");
   }
-  idx.payload_end_ = off;
   return idx;
 }
 
@@ -77,7 +75,6 @@ BlockIndex BlockIndex::scan(std::span<const std::uint8_t> stream,
   BlockIndex idx;
   idx.extents_.reserve(num_blocks);
   bitio::BitReader r(stream.subspan(payload_base));
-  std::size_t end = payload_base;
   for (std::size_t b = 0; b < num_blocks; ++b) {
     const std::uint64_t len = bitio::read_varint(r);
     const std::size_t off = payload_base + r.bit_position() / 8;
@@ -86,9 +83,7 @@ BlockIndex BlockIndex::scan(std::span<const std::uint8_t> stream,
     }
     idx.extents_.push_back({off, static_cast<std::size_t>(len)});
     r.skip_bits(8 * static_cast<std::size_t>(len));
-    end = off + static_cast<std::size_t>(len);
   }
-  idx.payload_end_ = end;
   return idx;
 }
 

@@ -60,15 +60,11 @@ class BlockIndex {
   /// Extent of block b; throws std::out_of_range when b >= num_blocks().
   const BlockExtent& extent(std::size_t b) const;
 
-  /// One past the last payload byte (payload_base for an empty index).
-  std::size_t payload_end() const { return payload_end_; }
-
   /// Serialized table size in bytes (the container's index overhead).
   std::size_t serialized_bytes() const;
 
  private:
   std::vector<BlockExtent> extents_;
-  std::size_t payload_end_ = 0;
 };
 
 }  // namespace pastri

@@ -52,11 +52,6 @@ OstreamSink::OstreamSink(std::ostream& os) : os_(os) {
   base_ = seekable_ ? static_cast<std::size_t>(pos) : 0;
 }
 
-OstreamSink::OstreamSink(std::ostream& os, std::size_t container_base)
-    : os_(os), base_(container_base) {
-  seekable_ = os_.tellp() != std::ostream::pos_type(-1);
-}
-
 void OstreamSink::write(std::span<const std::uint8_t> bytes) {
   os_.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
@@ -228,10 +223,6 @@ std::uint64_t AsyncSink::backpressure_wait_ns() const {
   return impl_->queue.producer_wait_ns();
 }
 
-std::uint64_t AsyncSink::idle_wait_ns() const {
-  return impl_->queue.consumer_wait_ns();
-}
-
 std::uint64_t AsyncSink::apply_ns() const { return impl_->apply_ns_total; }
 
 std::size_t SpanSource::read(std::span<std::uint8_t> out) {
@@ -318,47 +309,6 @@ StreamWriter::StreamWriter(ByteSink& sink, const BlockSpec& spec,
   sink_.write(header);
   bytes_emitted_ = header.size();
   stats_.header_bits = 8 * header.size();
-}
-
-StreamWriter::StreamWriter(ByteSink& sink, const StreamInfo& info,
-                           const Params& params, const BlockIndex& index,
-                           const StreamWriterOptions& opt)
-    : sink_(sink), spec_(info.spec), params_(params) {
-  spec_.validate();
-  params_.validate();
-  if (info.version < kStreamVersionIndexed) {
-    throw std::runtime_error(
-        "StreamWriter: cannot append to an unindexed (v2) container");
-  }
-  if (params_.error_bound != info.error_bound ||
-      params_.bound_mode != info.bound_mode ||
-      params_.metric != info.metric || params_.tree != info.tree) {
-    throw std::invalid_argument(
-        "StreamWriter: append params disagree with the container header");
-  }
-  if (index.num_blocks() != info.num_blocks) {
-    throw std::runtime_error(
-        "StreamWriter: index block count disagrees with the header");
-  }
-  if (!sink_.can_patch()) {
-    throw std::logic_error(
-        "StreamWriter: appending requires a patchable sink (the header "
-        "block count changes at finish)");
-  }
-  expected_blocks_ = kUnknownBlockCount;
-  patch_header_ = true;
-  resumed_blocks_ = index.num_blocks();
-  sizes_.reserve(resumed_blocks_);
-  for (std::size_t b = 0; b < resumed_blocks_; ++b) {
-    sizes_.push_back(index.extent(b).length);
-  }
-  bytes_emitted_ = index.num_blocks() == 0 ? detail::kGlobalHeaderBytes
-                                           : index.payload_end();
-  batch_capacity_ = opt.batch_blocks
-                        ? opt.batch_blocks
-                        : auto_batch_blocks(spec_, params_.num_threads);
-  batch_.resize(batch_capacity_ * spec_.block_size());
-  stats_.num_blocks = resumed_blocks_;
 }
 
 StreamWriter::~StreamWriter() = default;
@@ -510,10 +460,8 @@ std::size_t StreamWriter::finish() {
   stats_.header_bits += 8 * tail.size();
 
   // Back-fill the header block count if it was not known up-front (a
-  // fresh count of zero, or an unchanged resumed count, needs no patch).
-  const std::uint64_t header_field =
-      patch_header_ ? resumed_blocks_ : expected_blocks_;
-  if (num_blocks != header_field) {
+  // count of zero needs no patch).
+  if (patch_header_ && num_blocks != 0) {
     std::uint8_t le[8];
     std::memcpy(le, &num_blocks, 8);  // little-endian hosts only
     sink_.patch(detail::kHeaderNumBlocksOffset, le);

@@ -68,14 +68,11 @@ class VectorSink final : public ByteSink {
 
 /// Sink over a std::ostream.  Seekability is probed once (tellp); on a
 /// non-seekable stream (pipe, stdout) `can_patch` is false and writers
-/// must declare the block count up-front.  `container_base` is the
-/// stream position of the container's first byte -- defaulted to the
-/// position at construction, passed explicitly when resuming a container
-/// that started earlier in the file.
+/// must declare the block count up-front.  The container's first byte
+/// is at the stream position at construction.
 class OstreamSink final : public ByteSink {
  public:
   explicit OstreamSink(std::ostream& os);
-  OstreamSink(std::ostream& os, std::size_t container_base);
 
   void write(std::span<const std::uint8_t> bytes) override;
   bool can_patch() const override { return seekable_; }
@@ -130,11 +127,9 @@ class AsyncSink final : public ByteSink {
   void flush();
 
   /// Stall/busy accounting for pipeline telemetry (stable after flush):
-  /// time the writer spent blocked on a full queue, time the drain
-  /// thread spent waiting for work, and time it spent inside the inner
-  /// sink's write/patch.
+  /// time the writer spent blocked on a full queue, and time the drain
+  /// thread spent inside the inner sink's write/patch.
   std::uint64_t backpressure_wait_ns() const;
-  std::uint64_t idle_wait_ns() const;
   std::uint64_t apply_ns() const;
 
  private:
@@ -215,16 +210,6 @@ class StreamWriter {
   StreamWriter(ByteSink& sink, const BlockSpec& spec, const Params& params,
                const StreamWriterOptions& opt = {});
 
-  /// Resume an existing indexed container whose header yielded `info`
-  /// and whose offset table parsed to `index`: the sink must be
-  /// positioned at index.payload_end() (the old table and footer are
-  /// overwritten) and must support patch().  `params` controls the
-  /// encoding of appended blocks; its bound/metric/tree must equal the
-  /// header's or decoding would diverge (throws std::invalid_argument).
-  StreamWriter(ByteSink& sink, const StreamInfo& info, const Params& params,
-               const BlockIndex& index,
-               const StreamWriterOptions& opt = {});
-
   ~StreamWriter();
   StreamWriter(const StreamWriter&) = delete;
   StreamWriter& operator=(const StreamWriter&) = delete;
@@ -237,8 +222,7 @@ class StreamWriter {
   /// if the total appended is not a whole number of blocks.
   void put_values(std::span<const double> values);
 
-  /// Blocks appended so far (including any not yet flushed to the sink,
-  /// and pre-existing blocks of a resumed container).
+  /// Blocks appended so far (including any not yet flushed to the sink).
   std::size_t blocks_appended() const;
 
   /// Values buffered from a put_values tail that has not completed a
@@ -252,8 +236,8 @@ class StreamWriter {
 
   /// Accounting (num_blocks/input_bytes update per append; payload and
   /// bookkeeping bit counters as batches flush; output_bytes at
-  /// finish()).  For a fresh writer the post-finish stats are identical
-  /// to what `compress` reports for the same data.
+  /// finish()).  The post-finish stats are identical to what `compress`
+  /// reports for the same data.
   const Stats& stats() const { return stats_; }
 
  private:
@@ -276,7 +260,6 @@ class StreamWriter {
   std::uint64_t expected_blocks_ = kUnknownBlockCount;
   bool patch_header_ = false;
   bool finished_ = false;
-  std::size_t resumed_blocks_ = 0;
 
   std::size_t batch_capacity_ = 0;   // blocks per batch
   std::vector<double> batch_;        // staged raw blocks

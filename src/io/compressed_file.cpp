@@ -1,7 +1,6 @@
 #include "io/compressed_file.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <limits>
 #include <fstream>
 #include <stdexcept>
@@ -26,7 +25,6 @@ struct ShardMetrics {
       obs::registry().counter(obs::kIoShardBytesWritten);
   obs::Counter shards_finished =
       obs::registry().counter(obs::kIoShardsFinished);
-  obs::Counter blocks_read = obs::registry().counter(obs::kIoBlocksRead);
 };
 
 const ShardMetrics& shard_metrics() {
@@ -92,51 +90,10 @@ std::size_t dataset_values(std::size_t count, std::size_t block_size) {
   return count * block_size;
 }
 
-/// Decode blocks [local_first, local_first+local_count) of one shard
-/// into `out` (local_count manifest-shaped blocks).  Indexed shards:
-/// header + footer + offset table + one contiguous payload span, four
-/// ranged reads in total.  Legacy (unindexed) shards: full read, then
-/// the in-memory random-access path.
-void read_shard_blocks(const std::string& dir, const std::string& basename,
-                       int shard, const qc::BlockShape& shape,
-                       std::size_t local_first, std::size_t local_count,
-                       std::span<double> out) {
-  shard_metrics().blocks_read.add(local_count);
-  const std::size_t fsize = rank_file_size(dir, basename, shard);
-  const StreamInfo info = peek_shard(dir, basename, shard, fsize);
-  if (local_first + local_count < local_first ||
-      local_first + local_count > info.num_blocks) {
-    throw std::out_of_range("read_shard_blocks: range out of range");
-  }
-  check_shard_block_size(info, shape);
-  if (info.version != kStreamVersionIndexed) {
-    // v2 shards have no offset table: fall back to one full read + the
-    // in-memory random-access path (BlockReader rebuilds the index by a
-    // sequential scan).
-    const auto bytes = read_rank_file(dir, basename, shard);
-    BlockReader(bytes).read_range(local_first, local_count, out);
-    return;
-  }
-  const BlockIndex index =
-      read_shard_index(dir, basename, shard, fsize, info);
-  if (local_count == 0) return;
-  const BlockExtent& lo = index.extent(local_first);
-  const BlockExtent& hi = index.extent(local_first + local_count - 1);
-  const std::size_t span_begin = lo.offset;
-  const std::size_t span_end = hi.offset + hi.length;
-  const auto payload = read_rank_file_slice(
-      dir, basename, shard, span_begin, span_end - span_begin);
-  const Params params = info.to_params();
-  const std::size_t bs = info.spec.block_size();
-  for (std::size_t b = 0; b < local_count; ++b) {
-    const BlockExtent& e = index.extent(local_first + b);
-    bitio::BitReader r(std::span<const std::uint8_t>(payload).subspan(
-        e.offset - span_begin, e.length));
-    decompress_block(r, info.spec, params, out.subspan(b * bs, bs));
-  }
-}
-
-/// shard_block_counts against an already-read manifest.
+/// Per-shard block counts read from the shard stream headers themselves
+/// (one small ranged read per shard), NOT from the manifest -- the
+/// shards are the source of truth for their own layout.  Throws
+/// std::runtime_error if the totals disagree with the manifest.
 std::vector<std::size_t> shard_block_counts(
     const std::string& dir, const std::string& basename,
     const CompressedDatasetInfo& info) {
@@ -228,51 +185,18 @@ bool shard_is_complete(const std::string& dir, const std::string& basename,
 
 // ---- ShardWriter --------------------------------------------------------
 
-namespace {
-
-std::unique_ptr<AsyncSink> maybe_async(OstreamSink& sink,
-                                       const ShardIo& io) {
-  if (!io.async) return nullptr;
-  return std::make_unique<AsyncSink>(
-      sink, AsyncSink::Options{.queue_depth = io.queue_depth,
-                               .chunk_bytes = io.chunk_bytes});
-}
-
-}  // namespace
-
 ShardWriter::ShardWriter(const std::string& dir, const std::string& basename,
                          int shard, const BlockSpec& spec,
                          const Params& params,
-                         std::uint64_t expected_blocks, const ShardIo& io)
+                         std::uint64_t expected_blocks, bool async)
     : path_(rank_file_path(dir, basename, shard)) {
-  file_.open(path_, std::ios::binary | std::ios::out | std::ios::trunc);
+  file_.open(path_, std::ios::binary | std::ios::trunc);
   if (!file_) throw std::runtime_error("cannot open for write: " + path_);
   sink_ = std::make_unique<OstreamSink>(file_);
-  async_ = maybe_async(*sink_, io);
+  if (async) async_ = std::make_unique<AsyncSink>(*sink_);
   writer_ = std::make_unique<StreamWriter>(
       async_ ? static_cast<ByteSink&>(*async_) : *sink_, spec, params,
       StreamWriterOptions{.expected_blocks = expected_blocks});
-}
-
-ShardWriter::ShardWriter(const std::string& dir, const std::string& basename,
-                         int shard, const Params& params, const ShardIo& io)
-    : path_(rank_file_path(dir, basename, shard)), appending_(true) {
-  const std::size_t fsize = rank_file_size(dir, basename, shard);
-  const StreamInfo info = peek_shard(dir, basename, shard, fsize);
-  if (info.version < kStreamVersionIndexed) {
-    throw std::runtime_error(
-        "ShardWriter: cannot append to an unindexed (v2) shard");
-  }
-  const BlockIndex index =
-      read_shard_index(dir, basename, shard, fsize, info);
-  file_.open(path_, std::ios::binary | std::ios::in | std::ios::out);
-  if (!file_) throw std::runtime_error("cannot open for append: " + path_);
-  file_.seekp(static_cast<std::streamoff>(index.payload_end()));
-  sink_ = std::make_unique<OstreamSink>(file_, 0);
-  async_ = maybe_async(*sink_, io);
-  writer_ = std::make_unique<StreamWriter>(
-      async_ ? static_cast<ByteSink&>(*async_) : *sink_, info, params,
-      index);
 }
 
 ShardWriter::~ShardWriter() = default;
@@ -292,7 +216,6 @@ std::size_t ShardWriter::finish() {
   if (async_) {
     async_->flush();
     io_stats_.backpressure_wait_ns = async_->backpressure_wait_ns();
-    io_stats_.idle_wait_ns = async_->idle_wait_ns();
     io_stats_.apply_ns = async_->apply_ns();
     async_.reset();  // join the drain thread before flushing the file
   }
@@ -301,16 +224,6 @@ std::size_t ShardWriter::finish() {
   file_.flush();
   if (!file_) throw std::runtime_error("write failed: " + path_);
   file_.close();
-  if (appending_) {
-    // Re-emitting the table over the old one can only grow the file, but
-    // truncate defensively so a finished shard never carries stale bytes.
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path_, ec);
-    if (!ec && size != total) {
-      std::filesystem::resize_file(path_, total, ec);
-      if (ec) throw std::runtime_error("truncate failed: " + path_);
-    }
-  }
   return total;
 }
 
@@ -319,7 +232,7 @@ std::size_t ShardWriter::finish() {
 ShardedDatasetWriter::ShardedDatasetWriter(
     const std::string& dir, const std::string& basename, std::string label,
     const qc::BlockShape& shape, std::size_t num_blocks,
-    const Params& params, int num_shards, const ShardIo& io,
+    const Params& params, int num_shards, bool async,
     std::size_t first_shard)
     : dir_(dir),
       basename_(basename),
@@ -328,7 +241,7 @@ ShardedDatasetWriter::ShardedDatasetWriter(
       num_blocks_(num_blocks),
       params_(params),
       layout_(make_shard_layout(num_blocks, num_shards)),
-      io_(io),
+      async_(async),
       shard_(first_shard) {
   if (first_shard > layout_.num_shards) {
     throw std::invalid_argument(
@@ -344,7 +257,7 @@ void ShardedDatasetWriter::roll_() {
     if (!cur_) {
       cur_ = std::make_unique<ShardWriter>(
           dir_, basename_, static_cast<int>(shard_), spec, params_,
-          layout_.blocks_per_shard[shard_], io_);
+          layout_.blocks_per_shard[shard_], async_);
       values_in_shard_ = 0;
     }
     if (values_in_shard_ <
@@ -354,7 +267,6 @@ void ShardedDatasetWriter::roll_() {
     total_bytes_ += cur_->finish();
     stats_.merge(cur_->stats());
     io_stats_.backpressure_wait_ns += cur_->io_stats().backpressure_wait_ns;
-    io_stats_.idle_wait_ns += cur_->io_stats().idle_wait_ns;
     io_stats_.apply_ns += cur_->io_stats().apply_ns;
     cur_.reset();
     ++shard_;
@@ -428,44 +340,14 @@ CompressedDatasetInfo read_manifest(const std::string& dir,
     n = static_cast<std::uint16_t>(v);
   }
   mf >> info.num_blocks >> info.layout.num_shards;
-  info.layout.blocks_per_shard.resize(info.layout.num_shards);
-  for (auto& n : info.layout.blocks_per_shard) mf >> n;
+  // One entry at a time: a hostile shard count cannot size a vector
+  // larger than the file's entries.
+  for (std::size_t s = 0; mf && s < info.layout.num_shards; ++s) {
+    std::size_t n = 0;
+    if (mf >> n) info.layout.blocks_per_shard.push_back(n);
+  }
   if (!mf) throw std::runtime_error("truncated manifest");
   return info;
-}
-
-std::vector<std::size_t> shard_block_counts(const std::string& dir,
-                                            const std::string& basename) {
-  return shard_block_counts(dir, basename, read_manifest(dir, basename));
-}
-
-std::vector<double> read_blocks(const std::string& dir,
-                                const std::string& basename,
-                                std::size_t first, std::size_t count) {
-  const CompressedDatasetInfo info = read_manifest(dir, basename);
-  const std::vector<std::size_t> counts =
-      shard_block_counts(dir, basename, info);
-  if (first + count < first || first + count > info.num_blocks) {
-    throw std::out_of_range("read_blocks: range exceeds dataset");
-  }
-  const std::size_t bs = info.shape.block_size();
-  std::vector<double> out(dataset_values(count, bs));
-  std::size_t shard_first = 0;  // dataset index of this shard's block 0
-  std::size_t done = 0;         // blocks already decoded into `out`
-  for (std::size_t s = 0; s < counts.size() && done < count; ++s) {
-    const std::size_t shard_end = shard_first + counts[s];
-    if (first + done < shard_end) {
-      const std::size_t local_first = first + done - shard_first;
-      const std::size_t take =
-          std::min(count - done, counts[s] - local_first);
-      read_shard_blocks(dir, basename, static_cast<int>(s), info.shape,
-                        local_first, take,
-                        std::span<double>(out).subspan(done * bs, take * bs));
-      done += take;
-    }
-    shard_first = shard_end;
-  }
-  return out;
 }
 
 qc::EriDataset read_compressed_dataset(const std::string& dir,

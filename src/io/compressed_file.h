@@ -53,20 +53,10 @@ void write_dataset_manifest(const std::string& dir,
 bool shard_is_complete(const std::string& dir, const std::string& basename,
                        int shard, std::size_t expected_blocks);
 
-/// io-stage knobs shared by ShardWriter/ShardedDatasetWriter: when
-/// `async` is set the shard bytes drain to disk on a background thread
-/// through core AsyncSink, overlapping file io with the encode stage.
-/// Shard bytes are identical either way.
-struct ShardIo {
-  bool async = false;
-  std::size_t queue_depth = 4;           ///< chunks in flight per shard
-  std::size_t chunk_bytes = 256 * 1024;  ///< io coalescing granularity
-};
-
-/// Cumulative AsyncSink telemetry, all zero when io was synchronous.
-struct ShardIoStats {
+/// AsyncSink telemetry of a shard writer whose bytes drain to disk on
+/// a background thread; all zero when io was synchronous.
+struct AsyncIoStats {
   std::uint64_t backpressure_wait_ns = 0;  ///< encode blocked on io
-  std::uint64_t idle_wait_ns = 0;          ///< io waiting for encode
   std::uint64_t apply_ns = 0;              ///< io busy in write/patch
 };
 
@@ -79,18 +69,13 @@ class ShardWriter {
   /// Create/truncate a fresh shard.  Declaring `expected_blocks` writes
   /// the header final immediately; with kUnknownBlockCount the count is
   /// back-filled at finish() (shard files are seekable, so both work).
+  /// With `async` the bytes drain to disk on a background thread through
+  /// core AsyncSink, overlapping file io with the encode stage; the
+  /// shard bytes are identical either way.
   ShardWriter(const std::string& dir, const std::string& basename,
               int shard, const BlockSpec& spec, const Params& params,
               std::uint64_t expected_blocks = kUnknownBlockCount,
-              const ShardIo& io = {});
-
-  /// Reopen an existing shard and append blocks after the ones it holds:
-  /// the old offset table and footer are overwritten and re-emitted at
-  /// finish().  Throws std::runtime_error on a legacy (v2, unindexed)
-  /// shard -- it has no table to extend -- and std::invalid_argument if
-  /// `params` disagree with the shard header's bound/metric/tree.
-  ShardWriter(const std::string& dir, const std::string& basename,
-              int shard, const Params& params, const ShardIo& io = {});
+              bool async = false);
 
   ~ShardWriter();
   ShardWriter(const ShardWriter&) = delete;
@@ -101,7 +86,7 @@ class ShardWriter {
   void put_block(std::span<const double> block);
   void put_values(std::span<const double> values);
 
-  /// Total blocks the finished shard will hold (pre-existing + appended).
+  /// Blocks appended so far.
   std::size_t blocks() const { return writer_->blocks_appended(); }
 
   /// Emit the offset table and footer; returns the shard size in bytes.
@@ -110,16 +95,15 @@ class ShardWriter {
   const Stats& stats() const { return writer_->stats(); }
 
   /// AsyncSink telemetry, final once finish() returned (zeros when sync).
-  const ShardIoStats& io_stats() const { return io_stats_; }
+  const AsyncIoStats& io_stats() const { return io_stats_; }
 
  private:
   std::string path_;
-  std::fstream file_;
+  std::ofstream file_;
   std::unique_ptr<OstreamSink> sink_;
-  std::unique_ptr<AsyncSink> async_;  ///< only when ShardIo::async
+  std::unique_ptr<AsyncSink> async_;  ///< only when `async`
   std::unique_ptr<StreamWriter> writer_;
-  ShardIoStats io_stats_;
-  bool appending_ = false;
+  AsyncIoStats io_stats_;
 };
 
 /// Streams a whole dataset into `num_shards` shard files plus the
@@ -133,12 +117,13 @@ class ShardedDatasetWriter {
   /// up-front -- it fixes the shard layout and the manifest contents.
   /// Writing starts at shard `first_shard`, i.e. at dataset block
   /// shard_first_block(layout, first_shard): a resumed dump keeps the
-  /// shards before it as they are on disk.  Throws std::invalid_argument
-  /// if `first_shard` is past the last shard.
+  /// shards before it as they are on disk.  `async` is passed to every
+  /// ShardWriter.  Throws std::invalid_argument if `first_shard` is past
+  /// the last shard.
   ShardedDatasetWriter(const std::string& dir, const std::string& basename,
                        std::string label, const qc::BlockShape& shape,
                        std::size_t num_blocks, const Params& params,
-                       int num_shards, const ShardIo& io = {},
+                       int num_shards, bool async = false,
                        std::size_t first_shard = 0);
   ~ShardedDatasetWriter();
   ShardedDatasetWriter(const ShardedDatasetWriter&) = delete;
@@ -160,7 +145,7 @@ class ShardedDatasetWriter {
   const Stats& stats() const { return stats_; }
 
   /// Summed over finished shards (zeros when io is synchronous).
-  const ShardIoStats& io_stats() const { return io_stats_; }
+  const AsyncIoStats& io_stats() const { return io_stats_; }
 
   /// Finish the open shard, write the manifest.  Throws
   /// std::runtime_error unless exactly the declared number of blocks
@@ -176,9 +161,9 @@ class ShardedDatasetWriter {
   std::size_t num_blocks_ = 0;
   Params params_;
   ShardLayout layout_;
-  ShardIo io_;
+  bool async_ = false;
   Stats stats_;
-  ShardIoStats io_stats_;
+  AsyncIoStats io_stats_;
 
   std::unique_ptr<ShardWriter> cur_;
   std::size_t shard_ = 0;            // index of the open/next shard
@@ -214,24 +199,5 @@ struct CompressedDatasetInfo {
 };
 CompressedDatasetInfo read_manifest(const std::string& dir,
                                     const std::string& basename);
-
-/// Per-shard block counts read from the shard stream headers themselves
-/// (one small ranged read per shard), NOT from the manifest -- the
-/// shards are the source of truth for their own layout.  Throws
-/// std::runtime_error if the totals disagree with the manifest.
-std::vector<std::size_t> shard_block_counts(const std::string& dir,
-                                            const std::string& basename);
-
-/// Load only dataset blocks [first, first+count), in dataset block
-/// order, without reading whole shards: indexed (v3) shards are touched
-/// with four ranged reads (header, footer, offset table, payload span);
-/// legacy shards fall back to a full read.  Returns count*block_size
-/// doubles, each shard's part decoded straight into its slice.  Throws
-/// std::out_of_range if the range exceeds the dataset, and
-/// std::runtime_error on a shard that disagrees with the manifest as in
-/// read_compressed_dataset.
-std::vector<double> read_blocks(const std::string& dir,
-                                const std::string& basename,
-                                std::size_t first, std::size_t count);
 
 }  // namespace pastri::io

@@ -1,7 +1,5 @@
 #include "io/file_per_process.h"
 
-#include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -99,41 +97,6 @@ bool remove_rank_file(const std::string& dir, const std::string& basename,
                       int rank) {
   std::error_code ec;
   return std::filesystem::remove(rank_path(dir, basename, rank), ec);
-}
-
-double timed_dump(const std::string& dir, const std::string& basename,
-                  int ranks, std::span<const std::uint8_t> data) {
-  if (ranks < 1) throw std::invalid_argument("ranks must be >= 1");
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t chunk = (data.size() + ranks - 1) / ranks;
-  for (int r = 0; r < ranks; ++r) {
-    const std::size_t off = static_cast<std::size_t>(r) * chunk;
-    if (off >= data.size()) {
-      write_rank_file(dir, basename, r, {});
-      continue;
-    }
-    write_rank_file(dir, basename, r,
-                    data.subspan(off, std::min(chunk, data.size() - off)));
-  }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-std::vector<std::uint8_t> timed_load(const std::string& dir,
-                                     const std::string& basename, int ranks,
-                                     double* seconds) {
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::uint8_t> out;
-  for (int r = 0; r < ranks; ++r) {
-    const auto part = read_rank_file(dir, basename, r);
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  if (seconds) {
-    *seconds = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-  }
-  return out;
 }
 
 }  // namespace pastri::io

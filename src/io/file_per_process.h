@@ -1,8 +1,8 @@
 // file_per_process.h - POSIX file-per-process dump/load, the I/O pattern
 // the paper uses on GPFS ("file-per-process mode with POSIX I/O on each
-// process", Section V-A).  Locally this exercises the real read/write
-// path; the Fig. 10 bench combines it with the PfsModel to extrapolate
-// to cluster scale.
+// process", Section V-A).  The sharded dataset container stores each
+// shard as one rank file; the Fig. 10 bench extrapolates to cluster
+// scale with the PfsModel.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +31,9 @@ std::size_t rank_file_size(const std::string& dir,
                            const std::string& basename, int rank);
 
 /// Read `count` bytes starting at `offset` from a rank file.  The slice
-/// must lie inside the file; throws std::runtime_error otherwise.  This
-/// is the primitive behind partial shard loads: header, index footer,
-/// offset table, and payload ranges are each one small ranged read
-/// instead of pulling the whole shard.
+/// must lie inside the file; throws std::runtime_error otherwise.  The
+/// shard header, index footer and offset table checks each take one
+/// small ranged read instead of pulling the whole shard.
 std::vector<std::uint8_t> read_rank_file_slice(const std::string& dir,
                                                const std::string& basename,
                                                int rank, std::size_t offset,
@@ -43,16 +42,5 @@ std::vector<std::uint8_t> read_rank_file_slice(const std::string& dir,
 /// Remove a rank file (best-effort; returns false if it did not exist).
 bool remove_rank_file(const std::string& dir, const std::string& basename,
                       int rank);
-
-/// Dump `data` split evenly over `ranks` files, each written serially;
-/// returns total elapsed seconds.
-double timed_dump(const std::string& dir, const std::string& basename,
-                  int ranks, std::span<const std::uint8_t> data);
-
-/// Load previously dumped rank files back into one buffer; returns
-/// elapsed seconds via `*seconds` (may be null).
-std::vector<std::uint8_t> timed_load(const std::string& dir,
-                                     const std::string& basename, int ranks,
-                                     double* seconds);
 
 }  // namespace pastri::io

@@ -67,8 +67,6 @@ inline constexpr std::string_view kIoShardBytesWritten =
     "pastri_io_shard_bytes_written_total";
 inline constexpr std::string_view kIoShardsFinished =
     "pastri_io_shards_finished_total";
-inline constexpr std::string_view kIoBlocksRead =
-    "pastri_io_blocks_read_total";
 
 // ---- qc: compressed ERI store + integral generation --------------------
 inline constexpr std::string_view kQcEriCacheHits =

@@ -47,7 +47,6 @@ constexpr StdMetric kStandardMetrics[] = {
     {kIoShardAppendNs, StdType::Histogram},
     {kIoShardBytesWritten, StdType::Counter},
     {kIoShardsFinished, StdType::Counter},
-    {kIoBlocksRead, StdType::Counter},
     {kQcEriCacheHits, StdType::Counter},
     {kQcEriCacheMisses, StdType::Counter},
     {kQcEriQuartets, StdType::Counter},

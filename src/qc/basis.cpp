@@ -24,6 +24,10 @@ double base_exponent(int Z, int l) {
 
 constexpr double kExponentSpread = 3.4;  // tight/diffuse ratio per step
 
+/// Shells per heavy atom: the tight->diffuse exponent spread of
+/// triple-zeta polarization sets.  Hydrogens carry one shell.
+constexpr int kHeavyAtomShells = 2;
+
 }  // namespace
 
 BasisSet make_basis(const Molecule& mol, const BasisOptions& opt) {
@@ -33,16 +37,11 @@ BasisSet make_basis(const Molecule& mol, const BasisOptions& opt) {
   if (opt.contraction < 1) {
     throw std::invalid_argument("contraction depth must be >= 1");
   }
-  if (opt.shells_per_atom < 1) {
-    throw std::invalid_argument("shells_per_atom must be >= 1");
-  }
   BasisSet basis;
   for (std::size_t ai = 0; ai < mol.atoms.size(); ++ai) {
     const Atom& atom = mol.atoms[ai];
-    if (opt.heavy_atoms_only && atom.Z == 1) continue;
     const double a_tight = base_exponent(atom.Z, opt.l);
-    // Hydrogens typically carry one polarization shell of each type.
-    const int nsh = (atom.Z == 1) ? 1 : opt.shells_per_atom;
+    const int nsh = (atom.Z == 1) ? 1 : kHeavyAtomShells;
     for (int si = 0; si < nsh; ++si) {
       Shell sh;
       sh.l = opt.l;

@@ -2,9 +2,10 @@
 //
 // The paper's datasets are named by BF configuration -- (dd|dd), (ff|ff),
 // and d/f hybrids -- i.e. by which shell types form the ERI blocks.  We
-// build a basis by placing one shell of the requested angular momentum on
-// every heavy atom, with element-dependent exponents so the shapes vary
-// across shells as they do in real basis sets.
+// build a basis by placing shells of the requested angular momentum on
+// every atom (two on heavy atoms, one on hydrogen), with
+// element-dependent exponents so the shapes vary across shells as they
+// do in real basis sets.
 #pragma once
 
 #include <vector>
@@ -14,11 +15,8 @@
 namespace pastri::qc {
 
 struct BasisOptions {
-  int l = 2;                ///< shell angular momentum (2=d, 3=f)
-  int contraction = 1;      ///< primitives per shell
-  int shells_per_atom = 2;  ///< tight->diffuse exponent spread, as in
-                            ///< triple-zeta polarization sets
-  bool heavy_atoms_only = false;  ///< real sets put d (and f) on H too
+  int l = 2;            ///< shell angular momentum (2=d, 3=f)
+  int contraction = 1;  ///< primitives per shell
 };
 
 /// A basis: a flat list of shells over a molecule.
@@ -33,7 +31,8 @@ struct BasisSet {
   }
 };
 
-/// Place one shell of momentum `opt.l` on each (heavy) atom.
+/// Place shells of momentum `opt.l` on every atom: two (tight, then
+/// diffuse) on each heavy atom, one on each hydrogen.
 /// Exponents depend on the element (C/N/O differ) and, for contracted
 /// shells, form a small even-tempered series; shells are normalized.
 BasisSet make_basis(const Molecule& mol, const BasisOptions& opt);

@@ -123,17 +123,10 @@ EriPlan plan_eri(const Molecule& mol, const DatasetOptions& opt) {
       static_cast<std::uint16_t>(num_cartesians(opt.config[3]))};
   plan.meta.label = mol.name + " " + plan.meta.shape.config_name();
 
-  const std::size_t block_size = plan.meta.shape.block_size();
-  std::size_t max_blocks = opt.max_blocks;
-  if (opt.target_bytes != 0) {
-    max_blocks = std::max<std::size_t>(
-        1, opt.target_bytes / (block_size * sizeof(double)));
-  }
-
   const auto& n = sb.count;
   const std::size_t total = n[0] * n[1] * n[2] * n[3];
-  const auto indices = sample_indices(total, std::min(total, max_blocks),
-                                      opt.seed);
+  const auto indices = sample_indices(
+      total, std::min(total, opt.max_blocks), opt.seed);
 
   // Mark the sampled quartets that fail the Schwarz screen.
   plan.items.reserve(indices.size());
@@ -246,7 +239,6 @@ double measure_generation_rate(const Molecule& mol, const DatasetOptions& opt,
                                std::size_t blocks) {
   DatasetOptions o = opt;
   o.max_blocks = blocks;
-  o.target_bytes = 0;
   const auto t0 = std::chrono::steady_clock::now();
   const EriDataset ds = generate_eri_dataset(mol, o);
   const auto t1 = std::chrono::steady_clock::now();

@@ -30,9 +30,8 @@ struct DatasetOptions {
   int contraction = 1;        ///< primitives per shell
   std::uint64_t seed = 12345; ///< sampling seed (deterministic)
 
-  /// Cap on the number of blocks; if `target_bytes` is nonzero it wins.
+  /// Cap on the number of blocks.
   std::size_t max_blocks = std::numeric_limits<std::size_t>::max();
-  std::size_t target_bytes = 0;
 
   /// Schwarz product threshold below which a quartet is screened out
   /// (emitted as zeros).  GAMESS uses ~1e-10..1e-12 integral cutoffs.

@@ -213,8 +213,7 @@ EriDumpResult dump_eri_sharded(const Molecule& mol, const DatasetOptions& opt,
                        meta.shape.sub_block_size()};
   io::ShardedDatasetWriter writer(dir, basename, meta.label, meta.shape,
                                   meta.num_blocks, params, dopt.num_shards,
-                                  io::ShardIo{.async = popt.async_io},
-                                  start_shard);
+                                  popt.async_io, start_shard);
   const std::size_t first = io::shard_first_block(layout, start_shard);
   const PumpStats ps = pump_blocks(
       gen, first, meta.num_blocks - first, chunk_blocks(popt, spec, params),

@@ -71,14 +71,6 @@ TEST(Dataset, MaxBlocksCap) {
   EXPECT_EQ(ds.values.size(), 17u * ds.shape.block_size());
 }
 
-TEST(Dataset, TargetBytesDerivesBlockCount) {
-  DatasetOptions o;
-  o.config = {2, 2, 2, 2};  // 1296 doubles/block = 10368 bytes
-  o.target_bytes = 110000;
-  const EriDataset ds = generate_eri_dataset(make_benzene(), o);
-  EXPECT_EQ(ds.num_blocks, 10u);
-}
-
 TEST(Dataset, LabelAndShape) {
   DatasetOptions o;
   o.config = {2, 2, 2, 2};

@@ -173,22 +173,29 @@ TEST(Fuzz, PastriStreamConsumerTruncationInsideChunk) {
   }
 }
 
-TEST(Fuzz, ShardAppendCorruptFooterNeverCrashes) {
-  // Appending re-parses the shard's footer and offset table; a corrupt
-  // or clipped tail must be rejected with an exception, and the shard
-  // file must be left unmodified by the failed open.
-  namespace fs = std::filesystem;
-  const auto dir = fs::temp_directory_path() / "pastri_fuzz_append";
-  fs::create_directories(dir);
+TEST(Fuzz, ShardIsCompleteCorruptFooterNeverCrashes) {
+  // shard_is_complete, the dump's resume probe, parses the shard's
+  // footer and offset table from disk: a corrupt or clipped tail must
+  // never crash it, and a truncated shard is never complete.
+  const std::string dir = testutil::per_test_dir("pastri_fuzz");
   const auto data = fuzz_payload();
-  Params p;
-  const auto stream = compress(data, BlockSpec{12, 12}, p);
-  const std::string path = io::rank_file_path(dir.string(), "shard", 0);
+  const BlockSpec spec{12, 12};
+  const std::size_t blocks = data.size() / spec.block_size();
+  const auto stream = compress(data, spec, Params{});
+  const std::string path = io::rank_file_path(dir, "shard", 0);
+  const auto write_shard = [&](const std::vector<std::uint8_t>& bytes) {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  };
+  write_shard(stream);
+  ASSERT_TRUE(io::shard_is_complete(dir, "shard", 0, blocks));
   std::mt19937_64 gen(21);
   for (int t = 0; t < 200; ++t) {
     std::vector<std::uint8_t> mutated = stream;
     const std::size_t tail = std::min<std::size_t>(40, mutated.size());
-    if (t % 2 == 0) {
+    const bool truncated = t % 2 != 0;
+    if (!truncated) {
       const int flips = 1 + static_cast<int>(gen() % 6);
       for (int f = 0; f < flips; ++f) {
         const std::size_t at = mutated.size() - 1 - gen() % tail;
@@ -197,23 +204,14 @@ TEST(Fuzz, ShardAppendCorruptFooterNeverCrashes) {
     } else {
       mutated.resize(mutated.size() - 1 - gen() % tail);
     }
-    {
-      std::ofstream f(path, std::ios::binary | std::ios::trunc);
-      f.write(reinterpret_cast<const char*>(mutated.data()),
-              static_cast<std::streamsize>(mutated.size()));
-    }
-    try {
-      io::ShardWriter w(dir.string(), "shard", 0, p);
-      w.put_block(std::vector<double>(144, 0.5));
-      w.finish();
-    } catch (const std::exception&) {
-      // A failed append-open must not have altered the file.
-      std::error_code ec;
-      EXPECT_EQ(fs::file_size(path, ec), mutated.size()) << t;
+    write_shard(mutated);
+    const bool complete = io::shard_is_complete(dir, "shard", 0, blocks);
+    if (truncated) {
+      EXPECT_FALSE(complete) << t;
     }
   }
   std::error_code ec;
-  fs::remove_all(dir, ec);
+  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(Fuzz, PastriIndexFooterNeverCrashes) {

@@ -4,8 +4,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -13,6 +13,7 @@
 
 #include "compressors/rpp/rpp.h"
 #include "core/pastri_capi.h"
+#include "io/block_store.h"
 #include "io/compressed_file.h"
 #include "io/file_per_process.h"
 #include "io/tool_container.h"
@@ -118,11 +119,25 @@ TEST_F(CompressedFileTest, MoreShardsThanBlocks) {
             p.error_bound * (1 + 1e-12));
 }
 
+/// Block counts of shards 0..num_shards-1 of dataset `base`, read from
+/// the shard stream headers.
+std::vector<std::size_t> header_block_counts(const std::string& dir,
+                                             const std::string& base,
+                                             std::size_t num_shards) {
+  std::vector<std::size_t> counts;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    counts.push_back(
+        peek_info(io::read_rank_file(dir, base, static_cast<int>(s)))
+            .num_blocks);
+  }
+  return counts;
+}
+
 TEST_F(CompressedFileTest, ShardBlockCountsComeFromShardHeaders) {
   const auto& ds = testutil::small_eri_dataset();
   Params p;
   io::write_compressed_dataset(ds, p, 5, dir_, "counts");
-  const auto counts = io::shard_block_counts(dir_, "counts");
+  const auto counts = header_block_counts(dir_, "counts", 5);
   const auto info = io::read_manifest(dir_, "counts");
   ASSERT_EQ(counts.size(), 5u);
   EXPECT_EQ(counts, info.layout.blocks_per_shard);
@@ -132,11 +147,15 @@ TEST_F(CompressedFileTest, ShardBlockCountsComeFromShardHeaders) {
 }
 
 TEST_F(CompressedFileTest, ReadBlocksPartialRanges) {
+  // Random access into a sharded dataset goes through io::BlockStore
+  // opened on its manifest.
   const auto& ds = testutil::small_eri_dataset();
   Params p;
   io::write_compressed_dataset(ds, p, 4, dir_, "part");
   const std::size_t bs = ds.shape.block_size();
   const auto full = io::read_compressed_dataset(dir_, "part");
+  const io::BlockStore store(dir_ + "/part.manifest");
+  ASSERT_EQ(store.num_blocks(), ds.num_blocks);
   // Ranges within one shard, across shard boundaries, and the whole set.
   const std::pair<std::size_t, std::size_t> ranges[] = {
       {0, 1},
@@ -144,16 +163,16 @@ TEST_F(CompressedFileTest, ReadBlocksPartialRanges) {
       {ds.num_blocks / 4 - 1, 3},  // straddles shard 0 -> 1
       {0, ds.num_blocks}};
   for (const auto& [first, count] : ranges) {
-    const auto part = io::read_blocks(dir_, "part", first, count);
+    const auto part = store.range(first, count);
     ASSERT_EQ(part.size(), count * bs) << first << "+" << count;
     for (std::size_t i = 0; i < part.size(); ++i) {
-      ASSERT_EQ(part[i], full.values[first * bs + i]) << first;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(part[i]),
+                std::bit_cast<std::uint64_t>(full.values[first * bs + i]))
+          << first;
     }
   }
-  EXPECT_THROW(io::read_blocks(dir_, "part", ds.num_blocks, 1),
-               std::out_of_range);
-  EXPECT_THROW(io::read_blocks(dir_, "part", 0, ds.num_blocks + 1),
-               std::out_of_range);
+  EXPECT_THROW(store.range(ds.num_blocks, 1), std::out_of_range);
+  EXPECT_THROW(store.range(0, ds.num_blocks + 1), std::out_of_range);
 }
 
 TEST_F(CompressedFileTest, ReaderIgnoresCorruptManifestLayout) {
@@ -178,11 +197,10 @@ TEST_F(CompressedFileTest, ReaderIgnoresCorruptManifestLayout) {
   EXPECT_EQ(back.num_blocks, ds.num_blocks);
   EXPECT_LE(max_abs_diff(ds.values, back.values),
             p.error_bound * (1 + 1e-12));
-  const auto counts = io::shard_block_counts(dir_, "lied");
-  std::size_t total = 0;
-  for (auto n : counts) total += n;
-  EXPECT_EQ(total, ds.num_blocks);
-  EXPECT_NE(counts, io::read_manifest(dir_, "lied").layout.blocks_per_shard);
+  EXPECT_EQ(io::BlockStore(dir_ + "/lied.manifest").range(0, ds.num_blocks),
+            back.values);
+  EXPECT_NE(header_block_counts(dir_, "lied", 3),
+            io::read_manifest(dir_, "lied").layout.blocks_per_shard);
 }
 
 /// Overwrite shard `shard` of dataset `base` with `blocks` zero blocks
@@ -200,26 +218,52 @@ TEST_F(CompressedFileTest, ShardBlockSizeDisagreeingWithManifestThrows) {
   // before decoding anything.
   const auto& ds = testutil::small_eri_dataset();
   io::write_compressed_dataset(ds, Params{}, 3, dir_, "wide");
-  const auto counts = io::shard_block_counts(dir_, "wide");
+  const auto counts = io::read_manifest(dir_, "wide").layout.blocks_per_shard;
   rewrite_shard(dir_, "wide", 1,
                 {ds.shape.num_sub_blocks(), 2 * ds.shape.sub_block_size()},
                 counts[1]);
   EXPECT_THROW(io::read_compressed_dataset(dir_, "wide"),
                std::runtime_error);
-  EXPECT_THROW(io::read_blocks(dir_, "wide", 0, ds.num_blocks),
-               std::runtime_error);
+  EXPECT_THROW(io::BlockStore(dir_ + "/wide.manifest"), std::runtime_error);
 }
 
 TEST_F(CompressedFileTest, ShardHeaderCountDisagreeingWithManifestThrows) {
   const auto& ds = testutil::small_eri_dataset();
   io::write_compressed_dataset(ds, Params{}, 3, dir_, "short");
-  const auto counts = io::shard_block_counts(dir_, "short");
+  const auto counts =
+      io::read_manifest(dir_, "short").layout.blocks_per_shard;
   rewrite_shard(dir_, "short", 2,
                 {ds.shape.num_sub_blocks(), ds.shape.sub_block_size()},
                 counts[2] - 1);
   EXPECT_THROW(io::read_compressed_dataset(dir_, "short"),
                std::runtime_error);
-  EXPECT_THROW(io::read_blocks(dir_, "short", 0, 1), std::runtime_error);
+  EXPECT_THROW(io::BlockStore(dir_ + "/short.manifest"), std::runtime_error);
+}
+
+TEST_F(CompressedFileTest, HostileManifestShardCountIsRejectedFast) {
+  // A manifest claiming more shards than it lists entries for is a
+  // corrupt file: rejected after reading the entries it has, not after
+  // sizing a layout from the claimed count.
+  for (const char* shards : {"100000000", "1000000000000"}) {
+    {
+      std::ofstream mf(dir_ + "/huge.manifest", std::ios::trunc);
+      mf << "PaSTRIshards v1\nhostile\n6 6 6 6\n3 " << shards
+         << "\n1 1 1 \n";
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_THROW(io::read_manifest(dir_, "huge"), std::runtime_error)
+        << shards;
+    const std::string path = dir_ + "/huge.manifest";
+    pastri_store* store = nullptr;
+    EXPECT_EQ(pastri_store_open(path.c_str(), nullptr, &store),
+              PASTRI_ERR_CORRUPT_STREAM)
+        << shards;
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count(),
+              0.1)
+        << shards;
+  }
 }
 
 TEST_F(CompressedFileTest, ReadRangeIntoSpanMatchesVectorOverload) {
@@ -275,65 +319,6 @@ TEST_F(CompressedFileTest, ShardWriterBytesMatchBatchCompress) {
         std::istreambuf_iterator<char>());
     EXPECT_EQ(bytes, reference) << "declare=" << declare;
   }
-}
-
-TEST_F(CompressedFileTest, ShardWriterAppendExtendsInPlace) {
-  // Write half the blocks, finish, reopen in append mode, write the
-  // rest: the final file must be byte-identical to one uninterrupted
-  // stream of all blocks.
-  const auto& ds = testutil::small_eri_dataset();
-  const BlockSpec spec{ds.shape.num_sub_blocks(),
-                       ds.shape.sub_block_size()};
-  const std::size_t bs = ds.shape.block_size();
-  const std::size_t half = ds.num_blocks / 2;
-  Params p;
-  {
-    io::ShardWriter w(dir_, "grow", 0, spec, p);
-    w.put_values(std::span<const double>(ds.values).first(half * bs));
-    w.finish();
-  }
-  {
-    io::ShardWriter w(dir_, "grow", 0, p);  // append
-    EXPECT_EQ(w.blocks(), half);
-    w.put_values(std::span<const double>(ds.values).subspan(half * bs));
-    EXPECT_EQ(w.blocks(), ds.num_blocks);
-    w.finish();
-  }
-  std::ifstream f(io::rank_file_path(dir_, "grow", 0), std::ios::binary);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(f)),
-                                  std::istreambuf_iterator<char>());
-  EXPECT_EQ(bytes, compress(ds.values, spec, p));
-}
-
-TEST_F(CompressedFileTest, ShardWriterAppendRejectsLegacyAndMismatch) {
-  const BlockSpec spec{4, 4};
-  Params p;
-  const std::vector<double> data(spec.block_size() * 3, 0.125);
-  const std::string path = io::rank_file_path(dir_, "v2", 0);
-  {
-    io::ShardWriter w(dir_, "v2", 0, spec, p);
-    w.put_values(data);
-    w.finish();
-  }
-  // Params that disagree with the shard header cannot append: the
-  // encoded blocks would not decode under the header's bound.
-  Params other = p;
-  other.error_bound = 1e-6;
-  EXPECT_THROW(io::ShardWriter(dir_, "v2", 0, other),
-               std::invalid_argument);
-
-  // Rewrite the shard as a legacy v2 stream (no index to extend).
-  auto stream = compress(data, spec, p);
-  std::uint64_t index_offset = 0;
-  std::memcpy(&index_offset, stream.data() + stream.size() - 20, 8);
-  stream.resize(index_offset);
-  stream[4] = 2;  // kStreamVersionUnindexed
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f.write(reinterpret_cast<const char*>(stream.data()),
-            static_cast<std::streamsize>(stream.size()));
-  }
-  EXPECT_THROW(io::ShardWriter(dir_, "v2", 0, p), std::runtime_error);
 }
 
 TEST_F(CompressedFileTest, ShardedDatasetWriterMatchesBatchWriter) {
