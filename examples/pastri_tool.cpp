@@ -292,7 +292,12 @@ int cmd_extract(const char* in, const char* first_s, const char* count_s) {
 
 int cmd_inspect(const char* in) {
   const auto bytes = read_file(in);
-  const io::ToolFile file = io::parse_tool_file(bytes);
+  // A raw PaSTRI container (what serve-client put-stream writes) has no
+  // tool header: it is inspected whole, under its path.
+  const bool tool_file =
+      bytes.size() >= 4 && std::memcmp(bytes.data(), &io::kToolMagic, 4) == 0;
+  const io::ToolFile file = tool_file ? io::parse_tool_file(bytes)
+                                      : io::ToolFile{{in, {}}, bytes};
   const auto stream = file.stream;
 
   // Probe through the C API first: a malformed or truncated container

@@ -94,6 +94,7 @@ void BlockStore::open_manifest_(const std::string& path) {
     const std::string shard_path =
         dir + "/" + basename + "." + std::to_string(s);
     add_shard_(read_file(shard_path), shard_path);
+    check_shard_block_size(shards_.back().reader->info(), ds.shape);
   }
   if (num_blocks_ != ds.num_blocks) {
     throw std::runtime_error(

@@ -71,16 +71,6 @@ BlockIndex read_shard_index(const std::string& dir,
                            footer.index_offset, info.num_blocks);
 }
 
-/// Throws unless a shard's blocks have the manifest's block size, so a
-/// shard can never decode past its slice of the caller's output.
-void check_shard_block_size(const StreamInfo& shard,
-                            const qc::BlockShape& shape) {
-  if (shard.spec.block_size() != shape.block_size()) {
-    throw std::runtime_error(
-        "shard block size disagrees with the manifest shape");
-  }
-}
-
 /// count * block_size, or std::runtime_error if that overflows.
 std::size_t dataset_values(std::size_t count, std::size_t block_size) {
   if (block_size != 0 &&
@@ -113,6 +103,14 @@ std::vector<std::size_t> shard_block_counts(
 }
 
 }  // namespace
+
+void check_shard_block_size(const StreamInfo& shard,
+                            const qc::BlockShape& shape) {
+  if (shard.spec.block_size() != shape.block_size()) {
+    throw std::runtime_error(
+        "shard block size disagrees with the manifest shape");
+  }
+}
 
 // ---- Layout / manifest / resume helpers ---------------------------------
 

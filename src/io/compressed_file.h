@@ -200,4 +200,11 @@ struct CompressedDatasetInfo {
 CompressedDatasetInfo read_manifest(const std::string& dir,
                                     const std::string& basename);
 
+/// Throws std::runtime_error unless a shard's blocks have the manifest's
+/// block size, so a shard can never decode past its slice of the
+/// caller's output.  Both readers of a sharded dataset call it:
+/// read_compressed_dataset and io::BlockStore.
+void check_shard_block_size(const StreamInfo& shard,
+                            const qc::BlockShape& shape);
+
 }  // namespace pastri::io

@@ -117,7 +117,5 @@ inline constexpr std::string_view kServeActiveConnections =
     "pastri_serve_active_connections";
 inline constexpr std::string_view kServeOpenStores =
     "pastri_serve_open_stores";
-inline constexpr std::string_view kServePutQueueDepth =
-    "pastri_serve_put_queue_depth";
 
 }  // namespace pastri::obs

@@ -69,7 +69,6 @@ constexpr StdMetric kStandardMetrics[] = {
     {kServeErrors, StdType::Counter},
     {kServeActiveConnections, StdType::Gauge},
     {kServeOpenStores, StdType::Gauge},
-    {kServePutQueueDepth, StdType::Gauge},
 };
 
 }  // namespace

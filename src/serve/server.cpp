@@ -43,8 +43,6 @@ struct ServeMetrics {
   obs::Gauge active_connections =
       obs::registry().gauge(obs::kServeActiveConnections);
   obs::Gauge open_stores = obs::registry().gauge(obs::kServeOpenStores);
-  obs::Gauge put_queue_depth =
-      obs::registry().gauge(obs::kServePutQueueDepth);
 };
 
 ServeMetrics& metrics() {
@@ -59,55 +57,38 @@ struct RequestError : std::runtime_error {
   pastri_status status;
 };
 
-/// One streaming write in flight on a connection.  The handler thread
-/// enqueues chunks; the encoder thread drains them into a StreamWriter.
-/// The queue is bounded: enqueue blocks until space, which holds back
-/// the PUT_CHUNK response and so backpressures the client via TCP.
+/// Opens a PUT session's output, or answers PASTRI_ERR_IO.  Checked
+/// before the StreamWriter exists: its constructor writes the header.
+std::ofstream open_output(const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw RequestError(PASTRI_ERR_IO, "cannot open " + path);
+  return out;
+}
+
+/// One streaming write in flight on a connection, encoded on the
+/// connection's worker: put() returns once every whole batch it
+/// completes is encoded and written, so the PUT_CHUNK response (and
+/// the next frame read) waits for the encode, and a fast client waits
+/// in TCP.  The first failure sticks: every later put() and close()
+/// answers its status.
 class PutSession {
  public:
   PutSession(const std::string& path, const BlockSpec& spec,
-             const Params& params, std::size_t queue_depth)
+             const Params& params)
       : path_(path),
-        out_(path, std::ios::binary),
+        out_(open_output(path)),
         sink_(out_),
-        writer_(sink_, spec, params),
-        queue_depth_(queue_depth == 0 ? 1 : queue_depth) {
-    if (!out_) {
-      throw RequestError(PASTRI_ERR_IO, "cannot open " + path);
-    }
-    encoder_ = std::thread([this] { encode_loop_(); });
+        writer_(sink_, spec, params) {}
+
+  void put(std::span<const double> values) {
+    run_([&] { writer_.put_values(values); });
   }
 
-  ~PutSession() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_ = true;
-    }
-    cv_.notify_all();
-    if (encoder_.joinable()) encoder_.join();
-  }
-
-  void put(std::vector<double>&& chunk) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock,
-             [this] { return queue_.size() < queue_depth_ || failed_; });
-    if (failed_) throw RequestError(status_, error_);
-    queue_.push_back(std::move(chunk));
-    metrics().put_queue_depth.set(static_cast<double>(queue_.size()));
-    cv_.notify_all();
-  }
-
-  /// Drain the queue, finish the container, and return the writer's
-  /// stats.  The session is unusable afterwards.
+  /// Finish the container and return the writer's stats.  The session
+  /// is unusable afterwards.
   Stats close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_ = true;
-    }
-    cv_.notify_all();
-    if (encoder_.joinable()) encoder_.join();
-    if (failed_) throw RequestError(status_, error_);
-    const std::size_t total = writer_.finish();
+    std::size_t total = 0;
+    run_([&] { total = writer_.finish(); });
     out_.close();
     if (!out_) {
       throw RequestError(PASTRI_ERR_IO, "write failed: " + path_);
@@ -118,47 +99,32 @@ class PutSession {
   }
 
  private:
-  void encode_loop_() {
-    for (;;) {
-      std::vector<double> chunk;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return !queue_.empty() || done_; });
-        if (queue_.empty()) return;
-        chunk = std::move(queue_.front());
-        queue_.pop_front();
-        metrics().put_queue_depth.set(static_cast<double>(queue_.size()));
-      }
-      cv_.notify_all();
+  template <class F>
+  void run_(F&& call) {
+    if (status_ == PASTRI_OK) {
       try {
-        writer_.put_values(chunk);
-      } catch (const std::exception& e) {
-        std::lock_guard<std::mutex> lock(mu_);
-        failed_ = true;
-        status_ = PASTRI_ERR_INVALID_ARGUMENT;
-        error_ = e.what();
-        queue_.clear();
-        cv_.notify_all();
+        call();
         return;
+      } catch (const std::invalid_argument& e) {
+        status_ = PASTRI_ERR_INVALID_ARGUMENT;  // e.g. a partial block
+        error_ = e.what();
+      } catch (const std::runtime_error& e) {
+        status_ = PASTRI_ERR_IO;  // the output stream failed
+        error_ = e.what();
+      } catch (const std::exception& e) {
+        status_ = PASTRI_ERR_INTERNAL;
+        error_ = e.what();
       }
     }
+    throw RequestError(status_, error_);
   }
 
   std::string path_;
   std::ofstream out_;
   OstreamSink sink_;
   StreamWriter writer_;
-  std::size_t queue_depth_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::vector<double>> queue_;
-  bool done_ = false;
-  bool failed_ = false;
   pastri_status status_ = PASTRI_OK;
   std::string error_;
-
-  std::thread encoder_;
 };
 
 }  // namespace
@@ -406,8 +372,8 @@ struct Server::Impl {
     if (error_bound > 0.0) params.error_bound = error_bound;
     std::unique_ptr<PutSession> session;
     try {
-      session = std::make_unique<PutSession>(path, spec, params,
-                                             config.put_queue_depth);
+      spec.validate();  // before opening truncates a file at the path
+      session = std::make_unique<PutSession>(path, spec, params);
     } catch (const std::invalid_argument& e) {
       throw RequestError(PASTRI_ERR_INVALID_ARGUMENT, e.what());
     }
@@ -433,7 +399,7 @@ struct Server::Impl {
     }
     std::vector<double> chunk(bytes / sizeof(double));
     std::memcpy(chunk.data(), req.rest(), bytes);
-    it->second->put(std::move(chunk));
+    it->second->put(chunk);
     return {};
   }
 

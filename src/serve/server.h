@@ -21,10 +21,11 @@
 // BlockReader range decoder (parallel above one chunk of 16 blocks,
 // core/parallel.h).
 //
-// PUT sessions stream values into a StreamWriter through a bounded
-// chunk queue drained by a per-session encoder thread; the PUT_CHUNK
-// response is withheld while the queue is full, which backpressures the
-// client through TCP instead of buffering unboundedly.
+// PUT sessions stream values into a StreamWriter on the connection's
+// worker: a PUT_CHUNK that completes an encode batch is answered after
+// the batch is encoded and written, and the worker reads no further
+// frame before that, which backpressures the client through TCP instead
+// of buffering unboundedly.  No session starts a thread of its own.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +48,6 @@ struct ServerConfig {
   std::size_t max_open_stores = 32;
   /// Per-connection cap on concurrent PUT sessions.
   std::size_t max_put_sessions = 4;
-  /// Bounded depth (in chunks) of each PUT session's encode queue.
-  std::size_t put_queue_depth = 8;
   /// Cache geometry for stores opened without an explicit config.
   CacheConfig default_cache{1024, 8};
 };

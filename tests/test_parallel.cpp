@@ -7,10 +7,8 @@
 #include <omp.h>
 
 #include <atomic>
-#include <filesystem>
 #include <stdexcept>
 #include <string>
-#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -108,18 +106,7 @@ TEST(Parallel, ThreadCountAboveTheCapIsInvalidArgument) {
                std::invalid_argument);
 }
 
-/// OS threads of this process, or -1 when /proc/self/task is unreadable.
-int os_thread_count() {
-  std::error_code ec;
-  std::filesystem::directory_iterator it("/proc/self/task", ec);
-  if (ec) return -1;
-  int count = 0;
-  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
-    if (ec) return -1;
-    ++count;
-  }
-  return count;
-}
+using testutil::os_thread_count;
 
 TEST(Parallel, WorkThatFitsOneChunkStartsNoThreads) {
   if (omp_get_max_threads() == 1) GTEST_SKIP() << "one OpenMP thread";

@@ -227,6 +227,32 @@ TEST_F(CompressedFileTest, ShardBlockSizeDisagreeingWithManifestThrows) {
   EXPECT_THROW(io::BlockStore(dir_ + "/wide.manifest"), std::runtime_error);
 }
 
+TEST_F(CompressedFileTest, ManifestShapeDisagreeingWithEveryShardThrows) {
+  // Only the manifest's shape line is rewritten, so the shards all agree
+  // with each other; both readers must still refuse the dataset.
+  const auto& ds = testutil::small_eri_dataset();
+  io::write_compressed_dataset(ds, Params{}, 3, dir_, "reshaped");
+  const std::string path = dir_ + "/reshaped.manifest";
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GE(lines.size(), 3u);
+  lines[2] = "1 1 1 2";  // magic, label, shape, ...
+  {
+    std::ofstream out(path, std::ios::trunc);
+    for (const std::string& line : lines) out << line << "\n";
+  }
+  ASSERT_EQ(io::read_manifest(dir_, "reshaped").shape.block_size(), 2u);
+  EXPECT_THROW(io::read_compressed_dataset(dir_, "reshaped"),
+               std::runtime_error);
+  EXPECT_THROW(io::BlockStore{path}, std::runtime_error);
+  pastri_store* store = nullptr;
+  EXPECT_EQ(pastri_store_open(path.c_str(), nullptr, &store),
+            PASTRI_ERR_CORRUPT_STREAM);
+}
+
 TEST_F(CompressedFileTest, ShardHeaderCountDisagreeingWithManifestThrows) {
   const auto& ds = testutil::small_eri_dataset();
   io::write_compressed_dataset(ds, Params{}, 3, dir_, "short");

@@ -296,6 +296,15 @@ TEST_F(Serve, PutStreamRoundTrip) {
   EXPECT_GT(result.output_bytes, 0u);
   EXPECT_LT(result.output_bytes, result.input_bytes);
 
+  // The stored bytes are the one-shot container of the same values.
+  Params params;
+  params.error_bound = 1e-6;
+  std::ifstream stored(path, std::ios::binary);
+  const std::vector<std::uint8_t> bytes(
+      (std::istreambuf_iterator<char>(stored)),
+      std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, compress(input, BlockSpec{4, 16}, params));
+
   // Read the container back through the same daemon.
   const serve::StoreInfo info = client.open_store(path);
   EXPECT_EQ(info.num_blocks, 12u);
@@ -468,10 +477,8 @@ TEST_F(Serve, PutSessionCapSheds) {
   server.stop();
 }
 
-TEST_F(Serve, PutBackpressureBoundedQueue) {
-  serve::ServerConfig config;
-  config.put_queue_depth = 1;  // tightest legal queue
-  serve::Server server(config);
+TEST_F(Serve, PutBackpressureNeverFailsOrDrops) {
+  serve::Server server;
   server.start();
   serve::Client client("127.0.0.1", server.port());
   const std::string path = dir_ + "/bp.pastri";
@@ -493,6 +500,86 @@ TEST_F(Serve, PutBackpressureBoundedQueue) {
   ASSERT_EQ(rng.size(), input.size());
   for (std::size_t i = 0; i < rng.size(); ++i) {
     EXPECT_NEAR(rng[i], input[i], params.error_bound);
+  }
+  server.stop();
+}
+
+TEST_F(Serve, PutErrorsAnswerTheirStatus) {
+  serve::Server server;
+  server.start();
+  serve::Client client("127.0.0.1", server.port());
+  const auto status_of = [](const auto& call) -> std::int32_t {
+    try {
+      call();
+    } catch (const serve::RpcError& e) {
+      return e.status;
+    }
+    return PASTRI_OK;
+  };
+
+  // An output that cannot be opened.
+  EXPECT_EQ(status_of([&] {
+              (void)client.put_open(dir_ + "/missing/put.pastri", 4, 16);
+            }),
+            PASTRI_ERR_IO);
+  // A block spec rejected before the output is opened, so an existing
+  // file at the path keeps its bytes.
+  const std::string kept = write_container(2);
+  const auto kept_bytes = std::filesystem::file_size(kept);
+  EXPECT_EQ(status_of([&] { (void)client.put_open(kept, 0, 16); }),
+            PASTRI_ERR_INVALID_ARGUMENT);
+  EXPECT_EQ(std::filesystem::file_size(kept), kept_bytes);
+  // A close that would leave a partial block.
+  const std::uint32_t partial =
+      client.put_open(dir_ + "/partial.pastri", 4, 16);
+  client.put_chunk(partial, std::vector<double>(96, 0.5));
+  EXPECT_EQ(status_of([&] { (void)client.put_close(partial); }),
+            PASTRI_ERR_INVALID_ARGUMENT);
+
+  // An output whose writes fail: the first failure sticks to the
+  // session, and every later chunk and the close answer it again.
+  if (std::filesystem::exists("/dev/full")) {
+    const std::uint32_t full = client.put_open("/dev/full", 4, 16);
+    std::vector<double> chunk(64 * 64);  // one encode batch
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      chunk[i] = std::sin(static_cast<double>(i) * 0.37);
+    }
+    std::int32_t first = PASTRI_OK;
+    for (int c = 0; c < 16 && first == PASTRI_OK; ++c) {
+      first = status_of([&] { client.put_chunk(full, chunk); });
+    }
+    EXPECT_EQ(first, PASTRI_ERR_IO);
+    EXPECT_EQ(status_of([&] { client.put_chunk(full, chunk); }),
+              PASTRI_ERR_IO);
+    EXPECT_EQ(status_of([&] { (void)client.put_close(full); }),
+              PASTRI_ERR_IO);
+  }
+
+  client.ping();  // the connection survived every failure
+  server.stop();
+}
+
+TEST_F(Serve, PutSessionStartsNoThread) {
+  if (testutil::os_thread_count() < 1) {
+    GTEST_SKIP() << "/proc/self/task unreadable";
+  }
+  serve::Server server;
+  server.start();
+  serve::Client client("127.0.0.1", server.port());
+  client.ping();  // a worker now serves this connection
+  const int before = testutil::os_thread_count();
+  // Three open sessions, each a few blocks short of one encode batch.
+  std::vector<std::uint32_t> sessions;
+  for (int s = 0; s < 3; ++s) {
+    sessions.push_back(client.put_open(
+        dir_ + "/s" + std::to_string(s) + ".pastri", 4, 16));
+    for (int c = 0; c < 3; ++c) {
+      client.put_chunk(sessions.back(), std::vector<double>(64, 0.25 * c));
+    }
+  }
+  EXPECT_EQ(testutil::os_thread_count(), before);
+  for (const std::uint32_t sid : sessions) {
+    EXPECT_EQ(client.put_close(sid).num_blocks, 3u);
   }
   server.stop();
 }

@@ -8,6 +8,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/block_spec.h"
@@ -32,6 +33,19 @@ inline std::string per_test_dir(const std::string& prefix) {
       std::filesystem::temp_directory_path() / (prefix + "_" + info->name());
   std::filesystem::create_directories(dir);
   return dir.string();
+}
+
+/// OS threads of this process, or -1 when /proc/self/task is unreadable.
+inline int os_thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  int count = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    if (ec) return -1;
+    ++count;
+  }
+  return count;
 }
 
 /// Water, R_OH ~ 0.9572 A and HOH ~ 104.52 deg (coordinates in bohr).
