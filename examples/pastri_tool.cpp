@@ -361,11 +361,11 @@ int cmd_inspect(const char* in) {
   return 0;
 }
 
-/// generate: the fused compute->compress->io pipeline from the shell.
-/// Plans MOLECULE's sampled CONFIG dataset, computes quartet blocks on
-/// a producer thread, encodes on the main thread, drains shard bytes on
-/// io threads, and writes `DIR/BASENAME.manifest` + shards -- the same
-/// files a dense generate-then-compress run produces, byte for byte.
+/// generate: the fused compute->compress->io dump from the shell.
+/// Plans MOLECULE's sampled CONFIG dataset, computes and then encodes
+/// one chunk of quartet blocks at a time, and writes
+/// `DIR/BASENAME.manifest` + shards -- the same files a dense
+/// generate-then-compress run produces, byte for byte.
 /// --resume continues an interrupted dump.
 int cmd_generate(int argc, char** argv) {
   if (argc < 4) return usage();
@@ -375,7 +375,6 @@ int cmd_generate(int argc, char** argv) {
   qc::DatasetOptions dopt;
   dopt.config = qc::parse_config(config);
   qc::EriDumpOptions dump;
-  qc::EriPipelineOptions popt;
   for (int i = 4; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> const char* {
@@ -387,32 +386,25 @@ int cmd_generate(int argc, char** argv) {
     else if (a == "--blocks" && next())
       dopt.max_blocks = std::stoull(argv[i]);
     else if (a == "--batch" && next())
-      popt.batch_blocks = std::stoull(argv[i]);
+      dump.batch_blocks = std::stoull(argv[i]);
     else if (a == "--seed" && next()) dopt.seed = std::stoull(argv[i]);
     else return usage();
   }
 
   const qc::Molecule mol = qc::make_molecule(molecule);
   const qc::EriDumpResult res =
-      qc::dump_eri_sharded(mol, dopt, p, dir, basename, dump, popt);
+      qc::dump_eri_sharded(mol, dopt, p, dir, basename, dump);
   const qc::EriPipelineResult& pl = res.pipeline;
 
   std::printf("%s: %zu blocks -> %zu shards, %zu compressed bytes"
               " (%zu shards / %zu blocks reused)\n",
               pl.meta.label.c_str(), pl.meta.num_blocks, res.shards_total,
               res.bytes_total, res.shards_reused, res.blocks_reused);
-  std::printf("wall %.3f s; stage busy compute %.3f / encode %.3f / io "
-              "%.3f s\n",
+  std::printf("wall %.3f s; busy compute %.3f / encode %.3f (io %.3f) s\n",
               static_cast<double>(pl.wall_ns) / 1e9,
               static_cast<double>(pl.compute_ns) / 1e9,
               static_cast<double>(pl.encode_ns) / 1e9,
               static_cast<double>(pl.io_ns) / 1e9);
-  std::printf("stalls compute %.3f / encode %.3f / io %.3f s; overlap "
-              "efficiency %.0f%%\n",
-              static_cast<double>(pl.compute_stall_ns) / 1e9,
-              static_cast<double>(pl.encode_stall_ns) / 1e9,
-              static_cast<double>(pl.io_stall_ns) / 1e9,
-              100.0 * pl.overlap_efficiency);
   if (pl.stats.output_bytes > 0) {
     std::printf("codec: %zu -> %zu bytes, ratio %.2fx (EB=%.0e)\n",
                 pl.stats.input_bytes, pl.stats.output_bytes,

@@ -573,31 +573,4 @@ void BlockReader::read_range(std::size_t first, std::size_t count,
                });
 }
 
-std::vector<double> decompress_block_at(
-    std::span<const std::uint8_t> stream, const StreamInfo& info,
-    std::size_t block) {
-  return BlockReader(stream, info).read_block(block);
-}
-
-std::vector<double> decompress_range(std::span<const std::uint8_t> stream,
-                                     const StreamInfo& info,
-                                     std::size_t first, std::size_t count) {
-  return BlockReader(stream, info).read_range(first, count);
-}
-
-std::vector<double> decompress_block_at(
-    std::span<const std::uint8_t> stream, std::size_t block) {
-  return decompress_block_at(stream, peek_info(stream), block);
-}
-
-std::vector<double> decompress_range(std::span<const std::uint8_t> stream,
-                                     std::size_t first,
-                                     std::size_t count) {
-  return decompress_range(stream, peek_info(stream), first, count);
-}
-
-BlockIndex read_block_index(std::span<const std::uint8_t> stream) {
-  return BlockReader(stream).index();
-}
-
 }  // namespace pastri

@@ -193,9 +193,10 @@ StreamInfo peek_info(std::span<const std::uint8_t> stream);
 // The canonical decode family is StreamInfo-first: probe the header once
 // with `peek_info` (or take it from a BlockReader / StreamConsumer you
 // already have) and pass it back in, so repeated decodes of the same
-// stream never re-parse the header.  The info-less overloads below each
-// delegate to their info-first twin after one `peek_info` call -- they
-// are thin aliases for one-shot use, not separate code paths.
+// stream never re-parse the header.  The info-less overload below
+// delegates to its info-first twin after one `peek_info` call -- a thin
+// alias for one-shot use, not a separate code path.  Random access
+// (one block, a range) goes through BlockReader alone.
 
 /// Decompress a full stream produced by `compress` (block-parallel;
 /// `num_threads` as in Params::num_threads, see core/parallel.h).
@@ -259,27 +260,6 @@ class BlockReader {
   Params params_;
   BlockIndex index_;
 };
-
-/// One-shot conveniences over BlockReader, in the same StreamInfo-first
-/// family as `decompress`.  For repeated random access into the same
-/// stream, construct a BlockReader once instead: these re-parse the
-/// index per call.
-std::vector<double> decompress_block_at(
-    std::span<const std::uint8_t> stream, const StreamInfo& info,
-    std::size_t block);
-std::vector<double> decompress_range(std::span<const std::uint8_t> stream,
-                                     const StreamInfo& info,
-                                     std::size_t first, std::size_t count);
-
-/// Thin aliases: probe the header, then call the StreamInfo-first twin.
-std::vector<double> decompress_block_at(
-    std::span<const std::uint8_t> stream, std::size_t block);
-std::vector<double> decompress_range(std::span<const std::uint8_t> stream,
-                                     std::size_t first, std::size_t count);
-
-/// The stream's block index (parsed from the v3 footer, or rebuilt by a
-/// sequential scan for v2 streams).
-BlockIndex read_block_index(std::span<const std::uint8_t> stream);
 
 // ---- Block-level API (building blocks, also used by tests/benches) ----
 

@@ -107,6 +107,17 @@ struct pastri_stream {
   bool finished = false;
 };
 
+namespace {
+
+/// Status of an exception from a stream handle's writer: a failed
+/// output file (say, a full disk) is PASTRI_ERR_IO, as in
+/// pastri_stream_open; anything else is internal.
+pastri_status stream_failure(const pastri_stream& s) {
+  return s.file ? PASTRI_ERR_INTERNAL : PASTRI_ERR_IO;
+}
+
+}  // namespace
+
 extern "C" {
 
 void pastri_params_init(pastri_params* params) {
@@ -292,7 +303,7 @@ pastri_status pastri_stream_put_block(pastri_stream* stream,
         std::span<const double>(block, stream->block_size));
     return PASTRI_OK;
   } catch (const std::exception& e) {
-    return fail(PASTRI_ERR_INTERNAL, e.what());
+    return fail(stream_failure(*stream), e.what());
   } catch (...) {
     return fail(PASTRI_ERR_INTERNAL, "unknown exception");
   }
@@ -316,7 +327,7 @@ pastri_status pastri_stream_finish(pastri_stream* stream,
     if (out_size != nullptr) *out_size = total;
     return PASTRI_OK;
   } catch (const std::exception& e) {
-    return fail(PASTRI_ERR_INTERNAL, e.what());
+    return fail(stream_failure(*stream), e.what());
   } catch (...) {
     return fail(PASTRI_ERR_INTERNAL, "unknown exception");
   }

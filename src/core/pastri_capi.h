@@ -209,19 +209,20 @@ void pastri_store_close(pastri_store* store);
  *
  * One call drives the whole front half of the paper's workflow: ERI
  * quartet generation, PaSTRI compression, and sharded container io,
- * with the three stages overlapped on separate threads (double-buffered
- * bounded queues in between).  The shard bytes are identical to
- * compressing the dense dataset whatever the pipeline settings. */
+ * one chunk of blocks at a time: each chunk is computed, then encoded
+ * and written, each step parallel across the blocks.  The shard bytes
+ * are identical to compressing the dense dataset whatever the chunk
+ * size. */
 
 typedef struct pastri_eri_dump_options {
   int num_shards;      /* shard files to write (>= 1) */
   int resume;          /* nonzero: keep complete shards of a prior
                           interrupted dump, regenerate the rest */
-  int async_io;        /* nonzero: write shard bytes on io threads */
+  int async_io;        /* ignored; kept so the struct layout is stable */
   size_t batch_blocks; /* blocks per pipeline chunk (0 = auto) */
 } pastri_eri_dump_options;
 
-/* Fill with the defaults (1 shard, no resume, async io, auto batch). */
+/* Fill with the defaults (1 shard, no resume, auto batch). */
 void pastri_eri_dump_options_init(pastri_eri_dump_options* options);
 
 typedef struct pastri_eri_dump_result {
@@ -230,7 +231,7 @@ typedef struct pastri_eri_dump_result {
   size_t shards_total;
   size_t shards_reused;      /* complete shards kept by resume */
   unsigned long long wall_ns;
-  double overlap_efficiency; /* 0 = sequential .. 1 = perfect overlap */
+  double overlap_efficiency; /* always 0: no step waits on another */
 } pastri_eri_dump_result;
 
 /* Generate the sampled ERI dataset of a named built-in molecule

@@ -6,19 +6,11 @@
 #include "core/stream.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
 #include <istream>
 #include <limits>
-#include <mutex>
 #include <ostream>
 #include <stdexcept>
-#include <thread>
-
-#include "core/pipeline.h"
 
 #include "bitio/varint.h"
 #include "core/format_detail.h"
@@ -70,160 +62,6 @@ void OstreamSink::patch(std::size_t offset,
   os_.seekp(end);
   if (!os_) throw std::runtime_error("OstreamSink: patch failed");
 }
-
-// ---- AsyncSink ----------------------------------------------------------
-
-struct AsyncSink::Impl {
-  /// One unit of drain-thread work.  Write ops carry coalesced bytes;
-  /// patch ops carry the offset.  Order on the queue == order applied,
-  /// which is what makes a queued patch meaningful: by the time it runs,
-  /// every byte it overwrites has already reached the inner sink.
-  struct Op {
-    enum class Kind { kWrite, kPatch } kind = Kind::kWrite;
-    std::size_t offset = 0;  // patch only
-    std::vector<std::uint8_t> bytes;
-  };
-
-  explicit Impl(ByteSink& inner, const Options& opt)
-      : inner(inner),
-        chunk_bytes(std::max<std::size_t>(1, opt.chunk_bytes)),
-        queue(opt.queue_depth) {
-    pending.reserve(chunk_bytes);
-    worker = std::thread([this] { drain_(); });
-  }
-
-  ~Impl() {
-    try {
-      flush_pending_();  // best effort; a drain error is already lost
-    } catch (...) {
-    }
-    queue.close();
-    if (worker.joinable()) worker.join();
-  }
-
-  void enqueue_(Op op) {
-    rethrow_();
-    ++enqueued;
-    if (!queue.push(std::move(op))) {
-      // Closed mid-run: only happens after a drain error set `error`.
-      --enqueued;
-      rethrow_();
-      throw std::logic_error("AsyncSink: sink already shut down");
-    }
-  }
-
-  void flush_pending_() {
-    if (pending.empty()) return;
-    Op op;
-    op.kind = Op::Kind::kWrite;
-    op.bytes = std::move(pending);
-    pending = {};
-    pending.reserve(chunk_bytes);
-    enqueue_(std::move(op));
-  }
-
-  /// Wait until applied == enqueued, then surface any drain error.
-  void barrier_() {
-    std::unique_lock<std::mutex> lk(done_mu);
-    done_cv.wait(lk, [&] {
-      return applied.load(std::memory_order_acquire) ==
-             enqueued;
-    });
-    lk.unlock();
-    rethrow_();
-  }
-
-  void rethrow_() {
-    if (!error_set.load(std::memory_order_acquire)) return;
-    std::lock_guard<std::mutex> lk(error_mu);
-    if (error) std::rethrow_exception(error);
-  }
-
-  void drain_() {
-    Op op;
-    while (queue.pop(op)) {
-      if (!error_set.load(std::memory_order_relaxed)) {
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-          if (op.kind == Op::Kind::kWrite) {
-            inner.write(op.bytes);
-          } else {
-            inner.patch(op.offset, op.bytes);
-          }
-        } catch (...) {
-          {
-            std::lock_guard<std::mutex> lk(error_mu);
-            error = std::current_exception();
-          }
-          error_set.store(true, std::memory_order_release);
-          // Keep draining (dropping ops) so a blocked writer wakes up
-          // and sees the error instead of deadlocking on a full queue.
-        }
-        apply_ns_total += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-      }
-      {
-        std::lock_guard<std::mutex> lk(done_mu);
-        applied.fetch_add(1, std::memory_order_release);
-      }
-      done_cv.notify_all();
-    }
-  }
-
-  ByteSink& inner;
-  const std::size_t chunk_bytes;
-  BoundedQueue<Op> queue;
-  std::vector<std::uint8_t> pending;  // writer-side coalescing buffer
-  std::size_t enqueued = 0;           // writer thread only
-  std::atomic<std::size_t> applied{0};
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::mutex error_mu;
-  std::exception_ptr error;
-  std::atomic<bool> error_set{false};
-  std::uint64_t apply_ns_total = 0;  // drain thread; read after flush()
-  std::thread worker;
-};
-
-AsyncSink::AsyncSink(ByteSink& inner) : AsyncSink(inner, Options{}) {}
-
-AsyncSink::AsyncSink(ByteSink& inner, const Options& opt)
-    : impl_(std::make_unique<Impl>(inner, opt)) {}
-
-AsyncSink::~AsyncSink() = default;
-
-void AsyncSink::write(std::span<const std::uint8_t> bytes) {
-  impl_->rethrow_();
-  impl_->pending.insert(impl_->pending.end(), bytes.begin(), bytes.end());
-  if (impl_->pending.size() >= impl_->chunk_bytes) impl_->flush_pending_();
-}
-
-bool AsyncSink::can_patch() const { return impl_->inner.can_patch(); }
-
-void AsyncSink::patch(std::size_t offset,
-                      std::span<const std::uint8_t> bytes) {
-  // Flush the coalescing buffer first so the patch lands after the
-  // bytes it targets, exactly as it would on the inner sink directly.
-  impl_->flush_pending_();
-  Impl::Op op;
-  op.kind = Impl::Op::Kind::kPatch;
-  op.offset = offset;
-  op.bytes.assign(bytes.begin(), bytes.end());
-  impl_->enqueue_(std::move(op));
-}
-
-void AsyncSink::flush() {
-  impl_->flush_pending_();
-  impl_->barrier_();
-}
-
-std::uint64_t AsyncSink::backpressure_wait_ns() const {
-  return impl_->queue.producer_wait_ns();
-}
-
-std::uint64_t AsyncSink::apply_ns() const { return impl_->apply_ns_total; }
 
 std::size_t SpanSource::read(std::span<std::uint8_t> out) {
   const std::size_t n = std::min(out.size(), data_.size() - pos_);

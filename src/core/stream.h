@@ -24,7 +24,6 @@
 
 #include <functional>
 #include <iosfwd>
-#include <memory>
 
 #include "core/pastri.h"
 
@@ -83,58 +82,6 @@ class OstreamSink final : public ByteSink {
   std::ostream& os_;
   std::size_t base_ = 0;
   bool seekable_ = false;
-};
-
-/// Asynchronous io stage: decouples the encode stage from the sink it
-/// feeds.  write()/patch() enqueue coalesced chunks onto a bounded queue
-/// that a background drain thread applies to the wrapped sink in order,
-/// so the caller (typically a StreamWriter flushing a batch) returns to
-/// encoding while the bytes hit the disk -- the "io" stage of the fused
-/// compute->compress->io pipeline.  Because the queue preserves op order
-/// (patches included), the bytes reaching the inner sink are exactly the
-/// bytes a direct caller would have written: the container is
-/// byte-identical with the async stage on or off.
-///
-/// Backpressure: the queue holds at most `queue_depth` chunks of
-/// ~`chunk_bytes` each, so a slow sink stalls the encoder instead of
-/// buffering the stream; the stall is visible in backpressure_wait_ns().
-///
-/// Error contract: a sink failure on the drain thread is captured and
-/// rethrown from the next write()/patch()/flush() call; subsequent
-/// queued ops are discarded.  Call flush() before reading the file back
-/// -- the destructor drains but swallows errors (it must not throw).
-/// One writer thread at a time; the drain thread is internal.
-class AsyncSink final : public ByteSink {
- public:
-  struct Options {
-    std::size_t queue_depth = 4;           ///< chunks in flight (>= 1)
-    std::size_t chunk_bytes = 256 * 1024;  ///< coalescing granularity
-  };
-
-  explicit AsyncSink(ByteSink& inner);
-  AsyncSink(ByteSink& inner, const Options& opt);
-  ~AsyncSink() override;
-  AsyncSink(const AsyncSink&) = delete;
-  AsyncSink& operator=(const AsyncSink&) = delete;
-
-  void write(std::span<const std::uint8_t> bytes) override;
-  bool can_patch() const override;
-  void patch(std::size_t offset,
-             std::span<const std::uint8_t> bytes) override;
-
-  /// Barrier: every op enqueued so far has been applied to the inner
-  /// sink.  Rethrows the first drain-thread error, if any.
-  void flush();
-
-  /// Stall/busy accounting for pipeline telemetry (stable after flush):
-  /// time the writer spent blocked on a full queue, and time the drain
-  /// thread spent inside the inner sink's write/patch.
-  std::uint64_t backpressure_wait_ns() const;
-  std::uint64_t apply_ns() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 /// Input abstraction of `StreamConsumer`.

@@ -1,8 +1,9 @@
 #include "io/compressed_file.h"
 
 #include <algorithm>
-#include <limits>
+#include <chrono>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -183,17 +184,46 @@ bool shard_is_complete(const std::string& dir, const std::string& basename,
 
 // ---- ShardWriter --------------------------------------------------------
 
+class ShardWriter::FileSink final : public ByteSink {
+ public:
+  explicit FileSink(std::ostream& os) : inner_(os) {}
+
+  void write(std::span<const std::uint8_t> bytes) override {
+    timed_([&] { inner_.write(bytes); });
+  }
+  bool can_patch() const override { return inner_.can_patch(); }
+  void patch(std::size_t offset,
+             std::span<const std::uint8_t> bytes) override {
+    timed_([&] { inner_.patch(offset, bytes); });
+  }
+
+  std::uint64_t ns() const { return ns_; }
+
+ private:
+  template <class F>
+  void timed_(F&& call) {
+    const auto t0 = std::chrono::steady_clock::now();
+    call();
+    ns_ += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+  }
+
+  OstreamSink inner_;
+  std::uint64_t ns_ = 0;
+};
+
 ShardWriter::ShardWriter(const std::string& dir, const std::string& basename,
                          int shard, const BlockSpec& spec,
                          const Params& params,
-                         std::uint64_t expected_blocks, bool async)
+                         std::uint64_t expected_blocks)
     : path_(rank_file_path(dir, basename, shard)) {
   file_.open(path_, std::ios::binary | std::ios::trunc);
   if (!file_) throw std::runtime_error("cannot open for write: " + path_);
-  sink_ = std::make_unique<OstreamSink>(file_);
-  if (async) async_ = std::make_unique<AsyncSink>(*sink_);
+  sink_ = std::make_unique<FileSink>(file_);
   writer_ = std::make_unique<StreamWriter>(
-      async_ ? static_cast<ByteSink&>(*async_) : *sink_, spec, params,
+      *sink_, spec, params,
       StreamWriterOptions{.expected_blocks = expected_blocks});
 }
 
@@ -211,12 +241,6 @@ void ShardWriter::put_values(std::span<const double> values) {
 
 std::size_t ShardWriter::finish() {
   const std::size_t total = writer_->finish();
-  if (async_) {
-    async_->flush();
-    io_stats_.backpressure_wait_ns = async_->backpressure_wait_ns();
-    io_stats_.apply_ns = async_->apply_ns();
-    async_.reset();  // join the drain thread before flushing the file
-  }
   shard_metrics().shards_finished.inc();
   shard_metrics().shard_bytes_written.add(total);
   file_.flush();
@@ -225,13 +249,14 @@ std::size_t ShardWriter::finish() {
   return total;
 }
 
+std::uint64_t ShardWriter::io_ns() const { return sink_->ns(); }
+
 // ---- ShardedDatasetWriter ----------------------------------------------
 
 ShardedDatasetWriter::ShardedDatasetWriter(
     const std::string& dir, const std::string& basename, std::string label,
     const qc::BlockShape& shape, std::size_t num_blocks,
-    const Params& params, int num_shards, bool async,
-    std::size_t first_shard)
+    const Params& params, int num_shards, std::size_t first_shard)
     : dir_(dir),
       basename_(basename),
       label_(std::move(label)),
@@ -239,7 +264,6 @@ ShardedDatasetWriter::ShardedDatasetWriter(
       num_blocks_(num_blocks),
       params_(params),
       layout_(make_shard_layout(num_blocks, num_shards)),
-      async_(async),
       shard_(first_shard) {
   if (first_shard > layout_.num_shards) {
     throw std::invalid_argument(
@@ -255,7 +279,7 @@ void ShardedDatasetWriter::roll_() {
     if (!cur_) {
       cur_ = std::make_unique<ShardWriter>(
           dir_, basename_, static_cast<int>(shard_), spec, params_,
-          layout_.blocks_per_shard[shard_], async_);
+          layout_.blocks_per_shard[shard_]);
       values_in_shard_ = 0;
     }
     if (values_in_shard_ <
@@ -264,8 +288,7 @@ void ShardedDatasetWriter::roll_() {
     }
     total_bytes_ += cur_->finish();
     stats_.merge(cur_->stats());
-    io_stats_.backpressure_wait_ns += cur_->io_stats().backpressure_wait_ns;
-    io_stats_.apply_ns += cur_->io_stats().apply_ns;
+    io_ns_ += cur_->io_ns();
     cur_.reset();
     ++shard_;
   }

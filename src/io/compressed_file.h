@@ -53,13 +53,6 @@ void write_dataset_manifest(const std::string& dir,
 bool shard_is_complete(const std::string& dir, const std::string& basename,
                        int shard, std::size_t expected_blocks);
 
-/// AsyncSink telemetry of a shard writer whose bytes drain to disk on
-/// a background thread; all zero when io was synchronous.
-struct AsyncIoStats {
-  std::uint64_t backpressure_wait_ns = 0;  ///< encode blocked on io
-  std::uint64_t apply_ns = 0;              ///< io busy in write/patch
-};
-
 /// Streams blocks into one shard file (`<dir>/<basename>.<shard>`) as
 /// they arrive -- the shard is one PaSTRI container written through a
 /// core StreamWriter, so peak memory is O(batch), not O(shard), and the
@@ -69,13 +62,9 @@ class ShardWriter {
   /// Create/truncate a fresh shard.  Declaring `expected_blocks` writes
   /// the header final immediately; with kUnknownBlockCount the count is
   /// back-filled at finish() (shard files are seekable, so both work).
-  /// With `async` the bytes drain to disk on a background thread through
-  /// core AsyncSink, overlapping file io with the encode stage; the
-  /// shard bytes are identical either way.
   ShardWriter(const std::string& dir, const std::string& basename,
               int shard, const BlockSpec& spec, const Params& params,
-              std::uint64_t expected_blocks = kUnknownBlockCount,
-              bool async = false);
+              std::uint64_t expected_blocks = kUnknownBlockCount);
 
   ~ShardWriter();
   ShardWriter(const ShardWriter&) = delete;
@@ -94,16 +83,16 @@ class ShardWriter {
 
   const Stats& stats() const { return writer_->stats(); }
 
-  /// AsyncSink telemetry, final once finish() returned (zeros when sync).
-  const AsyncIoStats& io_stats() const { return io_stats_; }
+  /// Time spent inside the shard file's write and patch calls.
+  std::uint64_t io_ns() const;
 
  private:
+  class FileSink;  ///< OstreamSink that times its calls
+
   std::string path_;
   std::ofstream file_;
-  std::unique_ptr<OstreamSink> sink_;
-  std::unique_ptr<AsyncSink> async_;  ///< only when `async`
+  std::unique_ptr<FileSink> sink_;
   std::unique_ptr<StreamWriter> writer_;
-  AsyncIoStats io_stats_;
 };
 
 /// Streams a whole dataset into `num_shards` shard files plus the
@@ -117,14 +106,12 @@ class ShardedDatasetWriter {
   /// up-front -- it fixes the shard layout and the manifest contents.
   /// Writing starts at shard `first_shard`, i.e. at dataset block
   /// shard_first_block(layout, first_shard): a resumed dump keeps the
-  /// shards before it as they are on disk.  `async` is passed to every
-  /// ShardWriter.  Throws std::invalid_argument if `first_shard` is past
-  /// the last shard.
+  /// shards before it as they are on disk.  Throws std::invalid_argument
+  /// if `first_shard` is past the last shard.
   ShardedDatasetWriter(const std::string& dir, const std::string& basename,
                        std::string label, const qc::BlockShape& shape,
                        std::size_t num_blocks, const Params& params,
-                       int num_shards, bool async = false,
-                       std::size_t first_shard = 0);
+                       int num_shards, std::size_t first_shard = 0);
   ~ShardedDatasetWriter();
   ShardedDatasetWriter(const ShardedDatasetWriter&) = delete;
   ShardedDatasetWriter& operator=(const ShardedDatasetWriter&) = delete;
@@ -144,8 +131,8 @@ class ShardedDatasetWriter {
   /// Codec stats, summed over finished shards.
   const Stats& stats() const { return stats_; }
 
-  /// Summed over finished shards (zeros when io is synchronous).
-  const AsyncIoStats& io_stats() const { return io_stats_; }
+  /// ShardWriter::io_ns, summed over finished shards.
+  std::uint64_t io_ns() const { return io_ns_; }
 
   /// Finish the open shard, write the manifest.  Throws
   /// std::runtime_error unless exactly the declared number of blocks
@@ -161,9 +148,8 @@ class ShardedDatasetWriter {
   std::size_t num_blocks_ = 0;
   Params params_;
   ShardLayout layout_;
-  bool async_ = false;
   Stats stats_;
-  AsyncIoStats io_stats_;
+  std::uint64_t io_ns_ = 0;
 
   std::unique_ptr<ShardWriter> cur_;
   std::size_t shard_ = 0;            // index of the open/next shard

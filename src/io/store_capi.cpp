@@ -169,7 +169,7 @@ void pastri_eri_dump_options_init(pastri_eri_dump_options* options) {
   if (options == nullptr) return;
   options->num_shards = 1;
   options->resume = 0;
-  options->async_io = 1;
+  options->async_io = 0;  // ignored
   options->batch_blocks = 0;
 }
 
@@ -200,13 +200,10 @@ pastri_status pastri_eri_dump(const char* molecule, const char* config,
     pastri::qc::EriDumpOptions dump;
     dump.num_shards = o.num_shards;
     dump.resume = o.resume != 0;
-    pastri::qc::EriPipelineOptions popt;
-    popt.async_io = o.async_io != 0;
-    popt.batch_blocks = o.batch_blocks;
+    dump.batch_blocks = o.batch_blocks;
 
     const pastri::qc::EriDumpResult r =
-        pastri::qc::dump_eri_sharded(mol, dopt, p, dir, basename, dump,
-                                     popt);
+        pastri::qc::dump_eri_sharded(mol, dopt, p, dir, basename, dump);
     if (result != nullptr) {
       result->num_blocks = r.pipeline.meta.num_blocks;
       result->bytes_written = r.pipeline.bytes_written;

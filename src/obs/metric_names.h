@@ -89,16 +89,6 @@ inline constexpr std::string_view kQcBoysEvals =
 // ---- qc: fused compute->compress->io pipeline --------------------------
 inline constexpr std::string_view kQcPipelineChunks =
     "pastri_qc_pipeline_chunks_total";
-inline constexpr std::string_view kQcPipelineQueueDepth =
-    "pastri_qc_pipeline_queue_depth";
-inline constexpr std::string_view kQcPipelineComputeStallNs =
-    "pastri_qc_pipeline_compute_stall_ns_total";
-inline constexpr std::string_view kQcPipelineEncodeStallNs =
-    "pastri_qc_pipeline_encode_stall_ns_total";
-inline constexpr std::string_view kQcPipelineIoStallNs =
-    "pastri_qc_pipeline_io_stall_ns_total";
-inline constexpr std::string_view kQcPipelineOverlapPct =
-    "pastri_qc_pipeline_overlap_pct";
 
 // ---- serve: the pastri_serve daemon ------------------------------------
 inline constexpr std::string_view kServeRequests =

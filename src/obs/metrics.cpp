@@ -56,11 +56,6 @@ constexpr StdMetric kStandardMetrics[] = {
     {kQcShellPairCacheMisses, StdType::Counter},
     {kQcBoysEvals, StdType::Counter},
     {kQcPipelineChunks, StdType::Counter},
-    {kQcPipelineQueueDepth, StdType::Gauge},
-    {kQcPipelineComputeStallNs, StdType::Counter},
-    {kQcPipelineEncodeStallNs, StdType::Counter},
-    {kQcPipelineIoStallNs, StdType::Counter},
-    {kQcPipelineOverlapPct, StdType::Gauge},
     {kServeRequests, StdType::Counter},
     {kServeRequestNs, StdType::Histogram},
     {kServeBytesIn, StdType::Counter},

@@ -411,6 +411,31 @@ TEST(CApi, StreamOpenToBadPathIsIoError) {
   EXPECT_NE(pastri_last_error_message()[0], '\0');
 }
 
+TEST(CApi, StreamWriteFailureIsIo) {
+  // A full disk is a file-level fault, as a path that cannot be opened
+  // is: both the failing put and the finish after it answer IO.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full";
+  }
+  pastri_params p;
+  pastri_params_init(&p);
+  const BlockSpec spec{4, 16};
+  pastri_stream* s = nullptr;
+  ASSERT_EQ(pastri_stream_open("/dev/full", spec.num_sub_blocks,
+                               spec.sub_block_size, &p, &s),
+            PASTRI_OK);
+  pastri_status put = PASTRI_OK;
+  for (std::uint64_t b = 0; b < 4096 && put == PASTRI_OK; ++b) {
+    const auto block = pastri::testutil::noisy_pattern_block(spec, 1e-6, b);
+    put = pastri_stream_put_block(s, block.data());
+  }
+  EXPECT_EQ(put, PASTRI_ERR_IO);
+  EXPECT_NE(pastri_last_error_message()[0], '\0');
+  size_t total = 0;
+  EXPECT_EQ(pastri_stream_finish(s, &total), PASTRI_ERR_IO);
+  pastri_stream_close(s);
+}
+
 TEST(CApi, MetricsSnapshotJson) {
   EXPECT_EQ(pastri_metrics_snapshot_json(nullptr),
             PASTRI_ERR_INVALID_ARGUMENT);

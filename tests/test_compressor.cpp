@@ -570,6 +570,7 @@ TEST(Compressor, StreamInfoToParamsRoundTrip) {
 TEST(Compressor, InfoFirstDecodeFamilyMatchesAliases) {
   // The StreamInfo-first entry points are the canonical path; the
   // info-less overloads are thin aliases.  Both must agree exactly.
+  // Random access goes through BlockReader, either way constructed.
   const BlockSpec spec{6, 9};
   std::vector<double> data;
   for (std::uint64_t b = 0; b < 7; ++b) {
@@ -580,10 +581,10 @@ TEST(Compressor, InfoFirstDecodeFamilyMatchesAliases) {
   const StreamInfo info = peek_info(stream);
 
   EXPECT_EQ(decompress(stream, info), decompress(stream));
-  EXPECT_EQ(decompress_block_at(stream, info, 3),
-            decompress_block_at(stream, 3));
-  EXPECT_EQ(decompress_range(stream, info, 2, 4),
-            decompress_range(stream, 2, 4));
+  EXPECT_EQ(BlockReader(stream, info).read_block(3),
+            BlockReader(stream).read_block(3));
+  EXPECT_EQ(BlockReader(stream, info).read_range(2, 4),
+            BlockReader(stream).read_range(2, 4));
 
   // BlockReader's info-first ctor probes nothing it was already given.
   const BlockReader reader(stream, info);

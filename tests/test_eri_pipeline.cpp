@@ -1,25 +1,19 @@
-// Tests for the fused compute->compress->io pipeline: the BoundedQueue
-// stage primitive, the AsyncSink io stage, and the eri_pipeline driver.
+// Tests for the fused compute->compress->io dump (eri_pipeline) and the
+// solvers that run off its output.
 //
-// The load-bearing property is byte identity: every pipeline knob
-// (chunk size, queue depth, async io, OpenMP width) may change wall
-// time but never the container bytes, so the pipelined dump is
-// interchangeable with -- and resumable against -- the dense-dataset
-// path.
+// The load-bearing property is byte identity: the chunk size and the
+// OpenMP width may change wall time but never the container bytes, so
+// the dump is interchangeable with -- and resumable against -- the
+// dense-dataset path.
 #include <gtest/gtest.h>
 #include <omp.h>
 
-#include <atomic>
-#include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "core/pipeline.h"
 #include "core/stream.h"
 #include "io/compressed_file.h"
 #include "io/file_per_process.h"
@@ -33,125 +27,6 @@
 
 namespace pastri {
 namespace {
-
-// ---------------------------------------------------------------- core
-
-TEST(BoundedQueue, FifoAndCloseDrain) {
-  BoundedQueue<int> q(4);
-  EXPECT_EQ(q.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.push(i));
-  EXPECT_EQ(q.size(), 4u);
-  q.close();
-  EXPECT_TRUE(q.closed());
-  // Consumers drain what is queued, in order, then see end-of-stream.
-  int v = -1;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(q.pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(q.pop(v));
-  // Producers are refused after close.
-  EXPECT_FALSE(q.push(99));
-}
-
-TEST(BoundedQueue, CapacityClampsToOne) {
-  BoundedQueue<int> q(0);
-  EXPECT_EQ(q.capacity(), 1u);
-}
-
-TEST(BoundedQueue, TransfersInOrderAcrossThreads) {
-  constexpr int kItems = 2000;
-  BoundedQueue<int> q(3);
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(q.push(i));
-    q.close();
-  });
-  int expected = 0, v = -1;
-  while (q.pop(v)) EXPECT_EQ(v, expected++);
-  producer.join();
-  EXPECT_EQ(expected, kItems);
-}
-
-TEST(BoundedQueue, CloseUnblocksFullQueueProducer) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(0));
-  std::atomic<bool> second_accepted{true};
-  std::thread producer([&] { second_accepted = q.push(1); });
-  // The producer is (about to be) blocked on the full queue; close must
-  // wake it and make it drop the item.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  producer.join();
-  EXPECT_FALSE(second_accepted);
-  EXPECT_GE(q.producer_wait_ns(), 0u);
-}
-
-TEST(BoundedQueue, ConsumerStallIsAccounted) {
-  BoundedQueue<int> q(2);
-  std::thread consumer([&] {
-    int v;
-    while (q.pop(v)) {
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  q.push(1);
-  q.close();
-  consumer.join();
-  // The consumer sat on an empty queue for ~30 ms; the counter must have
-  // seen a decent fraction of that.
-  EXPECT_GT(q.consumer_wait_ns(), 1'000'000u);
-}
-
-// A sink that always fails, for error-propagation tests.
-struct ThrowingSink final : ByteSink {
-  void write(std::span<const std::uint8_t>) override {
-    throw std::runtime_error("disk on fire");
-  }
-  bool can_patch() const override { return false; }
-};
-
-TEST(AsyncSink, BytesMatchDirectWritesAndPatches) {
-  // Apply the same op sequence directly and through AsyncSink (with a
-  // tiny coalescing buffer so many queue ops actually happen); the inner
-  // bytes must be identical.
-  const auto payload = testutil::random_doubles(4096, -1.0, 1.0);
-  const auto* raw = reinterpret_cast<const std::uint8_t*>(payload.data());
-  const std::size_t total = payload.size() * sizeof(double);
-
-  VectorSink direct;
-  VectorSink inner;
-  {
-    AsyncSink::Options o;
-    o.queue_depth = 2;
-    o.chunk_bytes = 64;
-    AsyncSink async(inner, o);
-    std::size_t off = 0, step = 1;
-    while (off < total) {
-      const std::size_t n = std::min(step, total - off);
-      direct.write({raw + off, n});
-      async.write({raw + off, n});
-      off += n;
-      step = step * 2 + 1;
-    }
-    const std::uint8_t patch_bytes[] = {0xDE, 0xAD, 0xBE, 0xEF};
-    direct.patch(10, patch_bytes);
-    async.patch(10, patch_bytes);
-    direct.write({raw, 16});
-    async.write({raw, 16});
-    async.flush();
-    EXPECT_TRUE(async.can_patch());
-  }
-  EXPECT_EQ(inner.bytes(), direct.bytes());
-}
-
-TEST(AsyncSink, InnerErrorReachesTheWriter) {
-  ThrowingSink broken;
-  AsyncSink async(broken);
-  const std::uint8_t b[] = {1, 2, 3};
-  async.write(b);  // coalesced; applied asynchronously after flush
-  EXPECT_THROW(async.flush(), std::runtime_error);
-  // Destruction after a failed drain must not terminate.
-}
 
 // ------------------------------------------------------------ io layout
 
@@ -193,13 +68,14 @@ class EriPipelineTest : public ::testing::Test {
 
   /// dump_eri_sharded into a single shard; `bytes` receives that shard's
   /// file, one whole container.
-  qc::EriPipelineResult dump_one_shard(
-      const Params& p, std::vector<std::uint8_t>& bytes,
-      const qc::EriPipelineOptions& popt = {}) {
+  qc::EriPipelineResult dump_one_shard(const Params& p,
+                                      std::vector<std::uint8_t>& bytes,
+                                      std::size_t batch_blocks = 0) {
     qc::EriDumpOptions dopt;
     dopt.num_shards = 1;
+    dopt.batch_blocks = batch_blocks;
     const qc::EriDumpResult res =
-        qc::dump_eri_sharded(mol_, opt_, p, dir_, "one", dopt, popt);
+        qc::dump_eri_sharded(mol_, opt_, p, dir_, "one", dopt);
     bytes = slurp(io::rank_file_path(dir_, "one", 0));
     return res.pipeline;
   }
@@ -227,19 +103,9 @@ TEST_F(EriPipelineTest, BytesInvariantAcrossEveryKnob) {
     omp_set_num_threads(threads);
     for (const std::size_t batch : {std::size_t{1}, std::size_t{5},
                                     std::size_t{0}}) {
-      for (const std::size_t depth : {std::size_t{1}, std::size_t{3}}) {
-        for (const bool async_io : {true, false}) {
-          qc::EriPipelineOptions popt;
-          popt.batch_blocks = batch;
-          popt.queue_depth = depth;
-          popt.async_io = async_io;
-          std::vector<std::uint8_t> bytes;
-          dump_one_shard(p, bytes, popt);
-          EXPECT_EQ(bytes, golden)
-              << "threads=" << threads << " batch=" << batch
-              << " depth=" << depth << " async_io=" << async_io;
-        }
-      }
+      std::vector<std::uint8_t> bytes;
+      dump_one_shard(p, bytes, batch);
+      EXPECT_EQ(bytes, golden) << "threads=" << threads << " batch=" << batch;
     }
   }
   omp_set_num_threads(max_threads);
@@ -441,8 +307,14 @@ TEST_F(EriPipelineTest, PipelineMetricsAdvance) {
   EXPECT_GT(res.chunks, 0u);
   EXPECT_GT(res.wall_ns, 0u);
   EXPECT_GT(res.compute_ns, 0u);
-  EXPECT_GE(res.overlap_efficiency, 0.0);
-  EXPECT_LE(res.overlap_efficiency, 1.0);
+  EXPECT_GT(res.encode_ns, 0u);
+  EXPECT_GT(res.io_ns, 0u);
+  EXPECT_LE(res.io_ns, res.encode_ns);  // the writes happen inside encode
+  // The steps run one after the other: nothing waits, nothing overlaps.
+  EXPECT_EQ(res.compute_stall_ns, 0u);
+  EXPECT_EQ(res.encode_stall_ns, 0u);
+  EXPECT_EQ(res.io_stall_ns, 0u);
+  EXPECT_EQ(res.overlap_efficiency, 0.0);
   EXPECT_EQ(res.bytes_written, bytes.size());
   EXPECT_EQ(bytes, dense_container(p));
 }

@@ -118,7 +118,7 @@ TEST(Fuzz, PastriRandomAccessNeverCrashes) {
       stream,
       [](const auto& s) {
         if (!pastri_decode_in_budget(s)) return std::vector<double>{};
-        return decompress_block_at(s, 3);
+        return BlockReader(s).read_block(3);
       },
       300, 8);
 }

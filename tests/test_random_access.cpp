@@ -59,7 +59,7 @@ TEST(RandomAccess, BlockAtMatchesFullDecompress) {
   const auto full = decompress(stream);
   const std::size_t bs = spec.block_size();
   for (std::size_t b = 0; b < nb; ++b) {
-    const auto one = decompress_block_at(stream, b);
+    const auto one = BlockReader(stream).read_block(b);
     ASSERT_EQ(one.size(), bs);
     for (std::size_t i = 0; i < bs; ++i) {
       EXPECT_EQ(one[i], full[b * bs + i]) << "block " << b << " elem " << i;
@@ -79,7 +79,7 @@ TEST(RandomAccess, RangeMatchesFullDecompress) {
   const std::pair<std::size_t, std::size_t> ranges[] = {
       {0, 0}, {0, 1}, {4, 7}, {14, 1}, {0, nb}};
   for (const auto& [first, count] : ranges) {
-    const auto part = decompress_range(stream, first, count);
+    const auto part = BlockReader(stream).read_range(first, count);
     ASSERT_EQ(part.size(), count * bs);
     for (std::size_t i = 0; i < part.size(); ++i) {
       EXPECT_EQ(part[i], full[first * bs + i]);
@@ -121,13 +121,15 @@ TEST(RandomAccess, LegacyStreamDecodesBitExactly) {
   const auto full3 = decompress(v3);
   const auto full2 = decompress(v2);
   EXPECT_EQ(full2, full3);
+  const BlockReader r2(v2);
+  const BlockReader r3(v3);
   for (std::size_t b = 0; b < nb; ++b) {
-    EXPECT_EQ(decompress_block_at(v2, b), decompress_block_at(v3, b));
+    EXPECT_EQ(r2.read_block(b), r3.read_block(b));
   }
-  EXPECT_EQ(decompress_range(v2, 3, 5), decompress_range(v3, 3, 5));
+  EXPECT_EQ(r2.read_range(3, 5), r3.read_range(3, 5));
   // And the scan-built index equals the parsed one extent-for-extent.
-  const BlockIndex i2 = read_block_index(v2);
-  const BlockIndex i3 = read_block_index(v3);
+  const BlockIndex& i2 = r2.index();
+  const BlockIndex& i3 = r3.index();
   ASSERT_EQ(i2.num_blocks(), i3.num_blocks());
   for (std::size_t b = 0; b < nb; ++b) {
     EXPECT_EQ(i2.extent(b), i3.extent(b));
@@ -141,7 +143,7 @@ TEST(RandomAccess, TruncatedFooterThrows) {
   auto stream = compress(data, spec, p);
   stream.resize(stream.size() - 1);  // clip into the footer
   EXPECT_THROW(BlockReader reader(stream), std::exception);
-  EXPECT_THROW(decompress_block_at(stream, 0), std::exception);
+  EXPECT_THROW(BlockReader(stream).read_block(0), std::exception);
 }
 
 TEST(RandomAccess, CorruptFooterMagicThrows) {
@@ -180,10 +182,10 @@ TEST(RandomAccess, OutOfRangeRequestsThrow) {
   const auto data = mixed_blocks(spec, 4);
   Params p;
   const auto stream = compress(data, spec, p);
-  EXPECT_THROW(decompress_block_at(stream, 4), std::out_of_range);
-  EXPECT_THROW(decompress_range(stream, 3, 2), std::out_of_range);
-  EXPECT_THROW(decompress_range(stream, 0, SIZE_MAX), std::out_of_range);
   const BlockReader reader(stream);
+  EXPECT_THROW(reader.read_block(4), std::out_of_range);
+  EXPECT_THROW(reader.read_range(3, 2), std::out_of_range);
+  EXPECT_THROW(reader.read_range(0, SIZE_MAX), std::out_of_range);
   std::vector<double> wrong(spec.block_size() + 1);
   EXPECT_THROW(reader.read_block(0, wrong), std::invalid_argument);
 }

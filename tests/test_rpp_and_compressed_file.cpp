@@ -146,7 +146,7 @@ TEST_F(CompressedFileTest, ShardBlockCountsComeFromShardHeaders) {
   EXPECT_EQ(total, ds.num_blocks);
 }
 
-TEST_F(CompressedFileTest, ReadBlocksPartialRanges) {
+TEST_F(CompressedFileTest, BlockStoreRangesMatchWholeRead) {
   // Random access into a sharded dataset goes through io::BlockStore
   // opened on its manifest.
   const auto& ds = testutil::small_eri_dataset();
