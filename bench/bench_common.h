@@ -9,6 +9,7 @@
 // on disk under /tmp/pastri_bench_cache so successive benches reuse them.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -111,6 +112,22 @@ inline double best_time_seconds(const std::function<void()>& fn,
   double best = 1e300;
   for (int i = 0; i < reps; ++i) best = std::min(best, time_seconds(fn));
   return best;
+}
+
+/// Median and range of N timed repeats, in seconds.
+struct TimeSpread {
+  double median = 0.0, min = 0.0, max = 0.0;
+};
+
+inline TimeSpread time_spread_seconds(const std::function<void()>& fn,
+                                      int reps = 5) {
+  std::vector<double> t;
+  for (int i = 0; i < reps; ++i) t.push_back(time_seconds(fn));
+  std::sort(t.begin(), t.end());
+  const std::size_t n = t.size();
+  const double median =
+      n % 2 == 1 ? t[n / 2] : 0.5 * (t[n / 2 - 1] + t[n / 2]);
+  return {median, t.front(), t.back()};
 }
 
 /// Where to write a bench artifact (BENCH_*.json).  A full run writes

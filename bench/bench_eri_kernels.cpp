@@ -1,11 +1,14 @@
-// bench_eri_kernels.cpp - The ERI compute stage before/after the
-// shell-pair cache: quartets/s with the original per-quartet engine
-// (rebuild the Hermite term lists and the HermiteR tensor for every
-// block -- reimplemented here verbatim from the pre-cache code) against
-// the cached ShellPairData + reusable-workspace path, with every block
-// compared bitwise: the cache is a pure reuse transformation, so the
-// numbers must not move by even one ulp.
+// bench_eri_kernels.cpp - The ERI compute stage against the original
+// engine: quartets/s with the original per-quartet engine (rebuild the
+// Hermite term lists and the HermiteR tensor for every block and
+// contract in one step -- reimplemented here verbatim from the
+// pre-cache code) against compute_eri_block on cached ShellPairData and
+// a reusable workspace (the two-step contraction), with every block
+// compared bitwise: both changes keep every FP operation and its order,
+// so the numbers must not move by even one ulp.
 //
+// Each rate is the median, with the min-max, of 5 timed repeats; a host
+// line names the core count, compiler, SIMD tier and thread count.
 // Emits BENCH_eri_kernels.json at the repo root; --smoke shrinks the
 // run for CI and skips the artifact.  Exits nonzero if any bitwise
 // check fails.
@@ -15,9 +18,11 @@
 #include <cstring>
 #include <numbers>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/simd/simd.h"
 #include "qc/basis.h"
 #include "qc/md_eri.h"
 #include "qc/molecule.h"
@@ -156,14 +161,22 @@ bool bits_equal(std::span<const double> a, std::span<const double> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+/// Quartets per second: the median and min-max over the repeats.
+struct Rate {
+  double median = 0.0, min = 0.0, max = 0.0;
+};
+
+Rate rate_of(std::size_t quartets, const bench::TimeSpread& t) {
+  return {quartets / t.median, quartets / t.max, quartets / t.min};
+}
+
 struct PairCacheRow {
   const char* config;
   std::size_t quartets = 0;
-  double before_qps = 0.0;
-  double after_qps = 0.0;
+  Rate before, after;
   bool bitwise_identical = true;
   double speedup() const {
-    return before_qps > 0 ? after_qps / before_qps : 0.0;
+    return before.median > 0 ? after.median / before.median : 0.0;
   }
 };
 
@@ -189,8 +202,8 @@ PairCacheRow bench_pair_cache(const char* config_name, int l,
   std::vector<double> out_before(block), out_after(block);
 
   // Before: everything rebuilt per quartet.
-  row.before_qps =
-      nq / bench::best_time_seconds(
+  row.before = rate_of(
+      nq, bench::time_spread_seconds(
                [&] {
                  for (std::size_t i = 0; i < nsh; ++i)
                    for (std::size_t j = 0; j < nsh; ++j)
@@ -200,7 +213,7 @@ PairCacheRow bench_pair_cache(const char* config_name, int l,
                                                 bs.shells[k], bs.shells[m],
                                                 out_before);
                },
-               reps);
+               reps));
 
   // After: pair data built once for all nsh^2 pairs, workspace reused.
   std::vector<ShellPairData> pairs;
@@ -213,14 +226,14 @@ PairCacheRow bench_pair_cache(const char* config_name, int l,
     }
   }
   EriWorkspace ws;
-  row.after_qps =
-      nq / bench::best_time_seconds(
-               [&] {
-                 for (std::size_t ij = 0; ij < nsh * nsh; ++ij)
-                   for (std::size_t kl = 0; kl < nsh * nsh; ++kl)
-                     compute_eri_block(pairs[ij], pairs[kl], ws, out_after);
-               },
-               reps);
+  row.after = rate_of(
+      nq, bench::time_spread_seconds(
+              [&] {
+                for (std::size_t ij = 0; ij < nsh * nsh; ++ij)
+                  for (std::size_t kl = 0; kl < nsh * nsh; ++kl)
+                    compute_eri_block(pairs[ij], pairs[kl], ws, out_after);
+              },
+              reps));
 
   // Bitwise identity of every quartet between the two engines.
   for (std::size_t i = 0; i < nsh && row.bitwise_identical; ++i) {
@@ -239,6 +252,25 @@ PairCacheRow bench_pair_cache(const char* config_name, int l,
   return row;
 }
 
+#if defined(__clang__)
+const char* const kCompiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+const char* const kCompiler = "gcc " __VERSION__;
+#else
+const char* const kCompiler = "unknown";
+#endif
+
+void print_rate(const char* label, const Rate& r) {
+  std::printf("%s %8.0f q/s [%.0f-%.0f]", label, r.median, r.min, r.max);
+}
+
+void json_rate(std::FILE* f, const char* key, const Rate& r) {
+  std::fprintf(f,
+               "\"%s_quartets_per_s\": {\"median\": %.1f, \"min\": %.1f, "
+               "\"max\": %.1f}",
+               key, r.median, r.min, r.max);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -246,12 +278,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
-  const int reps = smoke ? 1 : 3;
+  const int reps = smoke ? 1 : 5;
 
   bench::print_header(
-      "ERI compute kernels: shell-pair cache",
+      "ERI compute kernels: shell-pair cache + two-step contraction",
       "PaSTRI (CLUSTER'18) dataset generation stage; "
       "McMurchie-Davidson engine");
+  const unsigned nproc = std::thread::hardware_concurrency();
+  const char* simd_tier = simd::backend_name(simd::active_backend());
+  std::printf("host: nproc %u, %s, simd %s, 1 thread, %d repeats\n\n",
+              nproc, kCompiler, simd_tier, reps);
 
   std::vector<PairCacheRow> cache_rows;
   cache_rows.push_back(
@@ -259,14 +295,16 @@ int main(int argc, char** argv) {
   cache_rows.push_back(
       bench_pair_cache("(ff|ff)", 3, 2, smoke ? 2 : 3, reps));
   bool all_identical = true;
-  std::printf("pair caching, single thread, ordered quartets of one basis\n");
+  std::printf(
+      "seed engine (before) against compute_eri_block (after), single "
+      "thread,\nordered quartets of one basis, median [min-max]\n");
   for (const PairCacheRow& r : cache_rows) {
     all_identical = all_identical && r.bitwise_identical;
-    std::printf(
-        "  %s  %5zu quartets   before %9.0f q/s   after %9.0f q/s   "
-        "%.2fx   bits %s\n",
-        r.config, r.quartets, r.before_qps, r.after_qps, r.speedup(),
-        r.bitwise_identical ? "identical" : "DIFFER");
+    std::printf("  %s  %5zu quartets  ", r.config, r.quartets);
+    print_rate("before", r.before);
+    print_rate("   after", r.after);
+    std::printf("   %.2fx   bits %s\n", r.speedup(),
+                r.bitwise_identical ? "identical" : "DIFFER");
   }
   std::printf("\n");
 
@@ -275,15 +313,20 @@ int main(int argc, char** argv) {
   std::FILE* f = smoke ? nullptr : std::fopen(out.c_str(), "w");
   if (f) {
     std::fprintf(f, "{\n  \"mode\": \"default\",\n");
+    std::fprintf(f,
+                 "  \"host\": {\"nproc\": %u, \"compiler\": \"%s\", "
+                 "\"simd_tier\": \"%s\", \"threads\": 1, "
+                 "\"repeats\": %d},\n",
+                 nproc, kCompiler, simd_tier, reps);
     std::fprintf(f, "  \"pair_cache\": [\n");
     for (std::size_t i = 0; i < cache_rows.size(); ++i) {
       const PairCacheRow& r = cache_rows[i];
-      std::fprintf(f,
-                   "    {\"config\": \"%s\", \"quartets\": %zu, "
-                   "\"before_quartets_per_s\": %.1f, "
-                   "\"after_quartets_per_s\": %.1f, \"speedup\": %.3f, "
-                   "\"bitwise_identical\": %s}%s\n",
-                   r.config, r.quartets, r.before_qps, r.after_qps,
+      std::fprintf(f, "    {\"config\": \"%s\", \"quartets\": %zu, ",
+                   r.config, r.quartets);
+      json_rate(f, "before", r.before);
+      std::fprintf(f, ", ");
+      json_rate(f, "after", r.after);
+      std::fprintf(f, ", \"speedup\": %.3f, \"bitwise_identical\": %s}%s\n",
                    r.speedup(), r.bitwise_identical ? "true" : "false",
                    i + 1 < cache_rows.size() ? "," : "");
     }

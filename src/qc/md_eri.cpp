@@ -139,6 +139,12 @@ ShellPairData::ShellPairData(const Shell& A, const Shell& B)
   prims_.reserve(A.primitives.size() * B.primitives.size());
   off_.reserve(A.primitives.size() * B.primitives.size() * ncomp_ + 1);
   off_.push_back(0);
+  hoff_.reserve(A.primitives.size() * B.primitives.size() + 1);
+  hoff_.push_back(0);
+  // slot[(t*n + u)*n + v]: the (t,u,v)'s index into the current
+  // primitive pair's distinct list, or -1 while it has not appeared.
+  const std::size_t n = static_cast<std::size_t>(A.l + B.l) + 1;
+  std::vector<int> slot(n * n * n, -1);
 
   // Identical construction order and arithmetic to the historical
   // per-quartet build: (pa, pb) in shell order, components ia-major,
@@ -174,9 +180,14 @@ ShellPairData::ShellPairData(const Shell& A, const Shell& B)
                 const double ezv = Ez(ca.lz, cb.lz, v);
                 if (ezv == 0.0) continue;
                 const double c = norm * ext * eyu * ezv;
-                t_.push_back(static_cast<std::uint8_t>(t));
-                u_.push_back(static_cast<std::uint8_t>(u));
-                v_.push_back(static_cast<std::uint8_t>(v));
+                int& h = slot[(t * n + u) * n + v];
+                if (h < 0) {
+                  h = static_cast<int>(ht_.size() - hoff_.back());
+                  ht_.push_back(static_cast<std::uint8_t>(t));
+                  hu_.push_back(static_cast<std::uint8_t>(u));
+                  hv_.push_back(static_cast<std::uint8_t>(v));
+                }
+                hidx_.push_back(static_cast<std::uint16_t>(h));
                 coef_.push_back(c);
                 // Negating c is an exact sign flip, so pre-folding the
                 // ket-side (-1)^{t+u+v} preserves bit-identical sums.
@@ -187,9 +198,14 @@ ShellPairData::ShellPairData(const Shell& A, const Shell& B)
           off_.push_back(static_cast<std::uint32_t>(coef_.size()));
         }
       }
+      for (std::size_t h = hoff_.back(); h < ht_.size(); ++h) {
+        slot[(ht_[h] * n + hu_[h]) * n + hv_[h]] = -1;
+      }
+      max_distinct_ = std::max(max_distinct_, ht_.size() - hoff_.back());
+      hoff_.push_back(static_cast<std::uint32_t>(ht_.size()));
     }
   }
-  roff_.resize(coef_.size());
+  hroff_.resize(ht_.size());
 }
 
 void ShellPairData::set_r_stride(int l_total) {
@@ -198,9 +214,9 @@ void ShellPairData::set_r_stride(int l_total) {
   if (stride_ == stride) return;
   stride_ = stride;
   const std::size_t s = static_cast<std::size_t>(stride);
-  for (std::size_t i = 0; i < roff_.size(); ++i) {
-    roff_[i] =
-        static_cast<std::uint32_t>((t_[i] * s + u_[i]) * s + v_[i]);
+  for (std::size_t h = 0; h < hroff_.size(); ++h) {
+    hroff_[h] =
+        static_cast<std::uint32_t>((ht_[h] * s + hu_[h]) * s + hv_[h]);
   }
 }
 
@@ -229,9 +245,14 @@ void compute_eri_block(const ShellPairData& bra, const ShellPairData& ket,
   std::fill(out.begin(), out.end(), 0.0);
   ws.R.ensure(L);
 
-  const std::uint32_t* broff = bra.r_offsets();
+  // X[icd * nu + u]: step 1's ket sums for the current bra primitive.
+  const std::size_t xsize = bra.max_distinct() * ncd;
+  if (ws.x.size() < xsize) ws.x.resize(xsize);
+  double* X = ws.x.data();
+
+  const std::uint16_t* bidx = bra.hermite_index();
   const double* bcoef = bra.coefs();
-  const std::uint32_t* kroff = ket.r_offsets();
+  const std::uint16_t* kidx = ket.hermite_index();
   const double* kcoef = ket.coefs_signed();
   const double* R0 = ws.R.data();
 
@@ -248,24 +269,37 @@ void compute_eri_block(const ShellPairData& bra, const ShellPairData& ket,
       const double pref =
           2.0 * kPi52 / (p * q * std::sqrt(p + q)) * pab.cc * pcd.cc;
 
+      const std::size_t nu = bra.num_distinct(kb);
+      const std::uint32_t* doff = bra.distinct_r_offsets(kb);
+      const std::uint32_t* kdoff = ket.distinct_r_offsets(kk);
+      // Step 1: the ket contracted against R once per distinct bra
+      // Hermite index u, X[icd][u] = sum_k kcoef[k] * R(u + k), summed
+      // from 0.0 in ascending k.  R indices add component-wise, so the
+      // linearized offsets add too: R(bt+kt, bu+ku, bv+kv) =
+      // R0[doff + kdoff].
+      for (std::size_t icd = 0; icd < ncd; ++icd) {
+        const std::uint32_t k0 = ket.term_begin(kk, icd);
+        const std::uint32_t k1 = ket.term_end(kk, icd);
+        double* Xc = X + icd * nu;
+        for (std::size_t u = 0; u < nu; ++u) {
+          const double* Ru = R0 + doff[u];
+          double inner = 0.0;
+          for (std::uint32_t k = k0; k < k1; ++k) {
+            inner += kcoef[k] * Ru[kdoff[kidx[k]]];
+          }
+          Xc[u] = inner;
+        }
+      }
+      // Step 2: per output, sum_b bcoef[b] * X[icd][u(b)], summed from
+      // 0.0 in ascending b; then out += pref * sum.
       std::size_t idx = 0;
       for (std::size_t iab = 0; iab < nab; ++iab) {
         const std::uint32_t b0 = bra.term_begin(kb, iab);
         const std::uint32_t b1 = bra.term_end(kb, iab);
         for (std::size_t icd = 0; icd < ncd; ++icd, ++idx) {
-          const std::uint32_t k0 = ket.term_begin(kk, icd);
-          const std::uint32_t k1 = ket.term_end(kk, icd);
+          const double* Xc = X + icd * nu;
           double sum = 0.0;
-          for (std::uint32_t b = b0; b < b1; ++b) {
-            // R indices add component-wise, so the linearized offsets
-            // add too: R(bt+kt, bu+ku, bv+kv) = R0[broff + kroff].
-            const double* Rb = R0 + broff[b];
-            double inner = 0.0;
-            for (std::uint32_t k = k0; k < k1; ++k) {
-              inner += kcoef[k] * Rb[kroff[k]];
-            }
-            sum += bcoef[b] * inner;
-          }
+          for (std::uint32_t b = b0; b < b1; ++b) sum += bcoef[b] * Xc[bidx[b]];
           out[idx] += pref * sum;
         }
       }
@@ -283,7 +317,7 @@ double schwarz_bound(const ShellPairData& pair, EriWorkspace& ws) {
   ws.R.ensure(L);
   ws.diag.assign(n, 0.0);
 
-  const std::uint32_t* roff = pair.r_offsets();
+  const std::uint16_t* hidx = pair.hermite_index();
   const double* coef = pair.coefs();
   const double* coef_signed = pair.coefs_signed();
   const double* R0 = ws.R.data();
@@ -300,6 +334,8 @@ double schwarz_bound(const ShellPairData& pair, EriWorkspace& ws) {
       ++ws.boys_evals;
       const double pref =
           2.0 * kPi52 / (p * q * std::sqrt(p + q)) * pab.cc * pcd.cc;
+      const std::uint32_t* boff = pair.distinct_r_offsets(kb);
+      const std::uint32_t* koff = pair.distinct_r_offsets(kk);
       for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t b0 = pair.term_begin(kb, i);
         const std::uint32_t b1 = pair.term_end(kb, i);
@@ -307,10 +343,10 @@ double schwarz_bound(const ShellPairData& pair, EriWorkspace& ws) {
         const std::uint32_t k1 = pair.term_end(kk, i);
         double sum = 0.0;
         for (std::uint32_t b = b0; b < b1; ++b) {
-          const double* Rb = R0 + roff[b];
+          const double* Rb = R0 + boff[hidx[b]];
           double inner = 0.0;
           for (std::uint32_t k = k0; k < k1; ++k) {
-            inner += coef_signed[k] * Rb[roff[k]];
+            inner += coef_signed[k] * Rb[koff[hidx[k]]];
           }
           sum += coef[b] * inner;
         }

@@ -17,10 +17,23 @@
 // EriWorkspace: everything that depends only on one shell pair (Gaussian
 // product geometry, the HermiteE tables collapsed into flat term arenas)
 // is built once and reused across the O(n_pairs) quartets that share it,
-// and the per-quartet scratch (HermiteR) lives on the workspace so the
-// steady-state quartet loop performs no heap allocation.  BasisSet
-// consumers reach these kernels through QuartetPlan (qc/quartet_plan.h),
-// which owns one pair cache per basis.
+// and the per-quartet scratch (HermiteR and the ket-contracted
+// intermediate X) lives on the workspace so the steady-state quartet
+// loop performs no heap allocation.  BasisSet consumers reach these
+// kernels through QuartetPlan (qc/quartet_plan.h), which owns one pair
+// cache per basis.
+//
+// compute_eri_block contracts in the textbook two-step order.  The inner
+// sum over ket terms depends only on the ket component pair and the bra
+// term's Hermite index (t,u,v), and a bra primitive pair has far fewer
+// distinct indices than terms ((ff|ff): 84 against 1,920).  So step 1
+// fills X[cd][u] = sum_k E^cd_k R[t_u + T_k, ...] once per distinct bra
+// index u, and step 2 forms sum_b E^ab_b X[cd][u(b)] per output.  Each
+// sum runs in the order the one-step loop used, so the bits match it.
+// This is the one path for every class; a pair with nothing to reuse
+// (ss) goes through it too.  schwarz_bound keeps the one-step loop: its
+// diagonal pairs bra component i only with ket component i, and one
+// component pair's terms never repeat an index.
 #pragma once
 
 #include <cstdint>
@@ -101,12 +114,18 @@ class HermiteR {
 /// HermiteE tables per primitive pair; reusing it across the O(n_pairs)
 /// quartets that share the pair is the dominant ERI-engine win.
 ///
-/// Term (t,u,v) indices are additionally pre-linearized against a target
-/// HermiteR stride via set_r_stride(), so the kernel inner loop is a pure
-/// gather: R0[bra_off + ket_off] (offsets add because the R layout is
-/// linear in each of t, u, v).  The ket-side sign (-1)^{t+u+v} is folded
-/// into coef_signed at build time -- `-c * r` and `(-c) * r` are the same
-/// FP operation, so folding preserves bit-identical results.
+/// Each primitive pair also lists its distinct Hermite indices (t,u,v),
+/// in order of first appearance, and each term records its index into
+/// that list (hermite_index); compute_eri_block contracts the ket once
+/// per distinct bra index through them.
+///
+/// The distinct (t,u,v) are pre-linearized against a target HermiteR
+/// stride via set_r_stride(), so a term's R offset is
+/// distinct_r_offsets(k)[hermite_index()[i]] and the kernel reads R as a
+/// pure gather: R0[bra_off + ket_off] (offsets add because the R layout
+/// is linear in each of t, u, v).  The ket-side sign (-1)^{t+u+v} is
+/// folded into coef_signed at build time -- `-c * r` and `(-c) * r` are
+/// the same FP operation, so folding preserves bit-identical results.
 class ShellPairData {
  public:
   struct Prim {
@@ -118,7 +137,7 @@ class ShellPairData {
   ShellPairData() = default;
   ShellPairData(const Shell& A, const Shell& B);
 
-  /// Re-linearize the stored (t,u,v) term indices for a HermiteR of
+  /// Re-linearize the distinct (t,u,v) indices for a HermiteR of
   /// total momentum `l_total` (stride l_total + 1).  Must be called (or
   /// re-called) whenever the pair is used against a different quartet
   /// total momentum; no-op when the stride already matches.
@@ -137,10 +156,22 @@ class ShellPairData {
     return off_[k * ncomp_ + c + 1];
   }
 
-  const std::uint32_t* r_offsets() const { return roff_.data(); }
   const double* coefs() const { return coef_.data(); }
   const double* coefs_signed() const { return coef_signed_.data(); }
   int r_stride() const { return stride_; }
+
+  /// Distinct Hermite indices of primitive pair k: their count and their
+  /// linearized R offsets (set_r_stride).
+  std::size_t num_distinct(std::size_t k) const {
+    return hoff_[k + 1] - hoff_[k];
+  }
+  const std::uint32_t* distinct_r_offsets(std::size_t k) const {
+    return hroff_.data() + hoff_[k];
+  }
+  /// The largest num_distinct over the primitive pairs.
+  std::size_t max_distinct() const { return max_distinct_; }
+  /// Per term: its index into its primitive pair's distinct list.
+  const std::uint16_t* hermite_index() const { return hidx_.data(); }
 
  private:
   int la_ = 0, lb_ = 0;
@@ -150,18 +181,27 @@ class ShellPairData {
   // num_prims * ncomp + 1 entries; terms of (prim k, comp c) occupy
   // [off_[k*ncomp+c], off_[k*ncomp+c+1]).
   std::vector<std::uint32_t> off_;
-  std::vector<std::uint8_t> t_, u_, v_;       ///< Hermite indices per term
   std::vector<double> coef_;                  ///< bra-side coefficient
   std::vector<double> coef_signed_;           ///< (-1)^{t+u+v} * coef (ket)
-  std::vector<std::uint32_t> roff_;           ///< linearized (t,u,v)
-  int stride_ = 0;                            ///< stride roff_ is built for
+  std::vector<std::uint16_t> hidx_;           ///< distinct index per term
+  // Distinct (t,u,v) of prim k occupy [hoff_[k], hoff_[k+1]).
+  std::vector<std::uint32_t> hoff_;
+  std::vector<std::uint8_t> ht_, hu_, hv_;    ///< distinct Hermite indices
+  std::vector<std::uint32_t> hroff_;          ///< linearized distinct
+  std::size_t max_distinct_ = 0;
+  int stride_ = 0;                            ///< stride hroff_ is built for
 };
 
 /// Reusable per-worker scratch for the quartet kernels: the HermiteR
-/// tensor, the Schwarz diagonal buffer, and the Boys call counter.  One
-/// workspace per thread; after warm-up the kernels do not allocate.
+/// tensor, the ket-contracted intermediate, the Schwarz diagonal buffer,
+/// and the Boys call counter.  One workspace per thread; after warm-up
+/// the kernels do not allocate.
 struct EriWorkspace {
   HermiteR R;
+  /// compute_eri_block's X[cd][u] (ket.ncomp() * bra.max_distinct()
+  /// cells; (ff|ff) needs 8,400).  It only grows, and every cell read is
+  /// written first for the same primitive quartet.
+  std::vector<double> x;
   std::vector<double> diag;  ///< schwarz_bound scratch
   std::uint64_t boys_evals = 0;  ///< Boys calls made through this workspace
 };

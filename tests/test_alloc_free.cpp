@@ -29,6 +29,7 @@
 #include "io/compressed_file.h"
 #include "io/file_per_process.h"
 #include "qc/eri_engine.h"
+#include "qc/md_eri.h"
 #include "qc/molecule.h"
 #include "qc/quartet_plan.h"
 #include "qc/sto3g.h"
@@ -396,6 +397,47 @@ TEST(AllocFree, EriGenerationSteadyStateAllocatesFarBelowPerBlock) {
   const std::size_t allocs = allocations_since(mark);
   EXPECT_LT(allocs, measured / 8)
       << allocs << " allocations over " << measured << " generated blocks";
+}
+
+/// The quartet kernel itself: once one (ff|ff) call has grown the
+/// workspace (HermiteR, the X/S intermediate), every smaller or equal
+/// class reuses it, whatever order the classes come in.
+TEST(AllocFree, EriBlockKernelWarmWorkspaceAllocatesNothing) {
+  const auto shell = [](int l, qc::Vec3 center) {
+    qc::Shell s;
+    s.l = l;
+    s.center = center;
+    s.primitives = {{0.5, 0.6}, {2.7, 0.4}};
+    s.normalize();
+    return s;
+  };
+  const qc::Vec3 A{0.0, 0.2, -0.1}, B{1.3, -0.4, 0.8};
+  const auto pair = [&](int la, int lb, int l_total) {
+    qc::ShellPairData p(shell(la, A), shell(lb, B));
+    p.set_r_stride(l_total);
+    return p;
+  };
+  struct Class {
+    qc::ShellPairData bra, ket;
+  };
+  const std::vector<Class> classes{
+      {pair(3, 3, 12), pair(3, 3, 12)},  // (ff|ff)
+      {pair(0, 0, 0), pair(0, 0, 0)},    // (ss|ss)
+      {pair(2, 2, 10), pair(3, 3, 10)},  // (dd|ff)
+      {pair(3, 3, 12), pair(3, 3, 12)},  // (ff|ff)
+      {pair(1, 1, 4), pair(0, 2, 4)},    // (pp|sd)
+  };
+  std::vector<double> out(100 * 100);
+  qc::EriWorkspace ws;
+  const auto run = [&](const Class& c) {
+    qc::compute_eri_block(c.bra, c.ket, ws,
+                          std::span(out.data(), c.bra.ncomp() * c.ket.ncomp()));
+  };
+  run(classes[0]);  // warm-up
+
+  const std::size_t mark = g_alloc_count.load();
+  for (std::size_t i = 1; i < classes.size(); ++i) run(classes[i]);
+  EXPECT_EQ(allocations_since(mark), 0u);
 }
 
 /// The store build's compute side: with the plan built and the

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <random>
+#include <span>
+#include <vector>
 
 #include "qc/md_eri.h"
 #include "test_util.h"
@@ -251,6 +254,146 @@ TEST(MdEri, FShellBlockFinite) {
     EXPECT_TRUE(std::isfinite(v));
     EXPECT_LT(std::abs(v), 1e3);
   }
+}
+
+/// Per term of `pair`: its linearized R offset, the per-term table the
+/// one-step contraction read.
+std::vector<std::uint32_t> term_r_offsets(const ShellPairData& pair) {
+  std::vector<std::uint32_t> roff;
+  for (std::size_t k = 0; k < pair.num_prims(); ++k) {
+    const std::uint32_t* d = pair.distinct_r_offsets(k);
+    roff.resize(pair.term_end(k, pair.ncomp() - 1));
+    for (std::uint32_t i = pair.term_begin(k, 0); i < roff.size(); ++i) {
+      roff[i] = d[pair.hermite_index()[i]];
+    }
+  }
+  return roff;
+}
+
+/// The one-step contraction compute_eri_block performed before the
+/// two-step order, verbatim: per output, per bra term, the ket term sum
+/// against R.  The two-step kernel must match it bit for bit.  Kept out
+/// of line: inlined into the test body, its loop ran about 2x slower.
+[[gnu::noinline]] void one_step_eri_block(const ShellPairData& bra,
+                                          const ShellPairData& ket,
+                                          HermiteR& R, std::span<double> out) {
+  const double kPi52 = std::pow(std::numbers::pi, 2.5);
+  const std::size_t nab = bra.ncomp();
+  const std::size_t ncd = ket.ncomp();
+  const int L = bra.l_sum() + ket.l_sum();
+
+  std::fill(out.begin(), out.end(), 0.0);
+  R.ensure(L);
+
+  const std::vector<std::uint32_t> bra_roff = term_r_offsets(bra);
+  const std::vector<std::uint32_t> ket_roff = term_r_offsets(ket);
+  const std::uint32_t* broff = bra_roff.data();
+  const double* bcoef = bra.coefs();
+  const std::uint32_t* kroff = ket_roff.data();
+  const double* kcoef = ket.coefs_signed();
+  const double* R0 = R.data();
+
+  for (std::size_t kb = 0; kb < bra.num_prims(); ++kb) {
+    const ShellPairData::Prim& pab = bra.prim(kb);
+    for (std::size_t kk = 0; kk < ket.num_prims(); ++kk) {
+      const ShellPairData::Prim& pcd = ket.prim(kk);
+      const double p = pab.p, q = pcd.p;
+      const double alpha = p * q / (p + q);
+      const Vec3 PQ{pab.P[0] - pcd.P[0], pab.P[1] - pcd.P[1],
+                    pab.P[2] - pcd.P[2]};
+      R.compute(alpha, PQ, L);
+      const double pref =
+          2.0 * kPi52 / (p * q * std::sqrt(p + q)) * pab.cc * pcd.cc;
+
+      std::size_t idx = 0;
+      for (std::size_t iab = 0; iab < nab; ++iab) {
+        const std::uint32_t b0 = bra.term_begin(kb, iab);
+        const std::uint32_t b1 = bra.term_end(kb, iab);
+        for (std::size_t icd = 0; icd < ncd; ++icd, ++idx) {
+          const std::uint32_t k0 = ket.term_begin(kk, icd);
+          const std::uint32_t k1 = ket.term_end(kk, icd);
+          double sum = 0.0;
+          for (std::uint32_t b = b0; b < b1; ++b) {
+            const double* Rb = R0 + broff[b];
+            double inner = 0.0;
+            for (std::uint32_t k = k0; k < k1; ++k) {
+              inner += kcoef[k] * Rb[kroff[k]];
+            }
+            sum += bcoef[b] * inner;
+          }
+          out[idx] += pref * sum;
+        }
+      }
+    }
+  }
+}
+
+Shell make_contracted(int l, Vec3 center, int contraction) {
+  // 300 and 350 are core-like exponents: paired with each other across
+  // the A-B and C-D distances below, E_00 = exp(-mu X^2) underflows to 0
+  // in one direction (mu >= 150, X = 2.4), so those four primitive pairs
+  // have no terms and the distinct Hermite lists differ between the
+  // primitive pairs of one shell pair.  It also keeps the reference
+  // loop's cost at contraction 3 down to 25 of 81 primitive quartets.
+  static const Primitive kPrims[] = {{0.4, 0.5}, {300.0, 0.4}, {350.0, 0.3}};
+  Shell s;
+  s.l = l;
+  s.center = center;
+  s.primitives.assign(kPrims, kPrims + contraction);
+  s.normalize();
+  return s;
+}
+
+TEST(MdEri, TwoStepContractionMatchesOneStepBitwise) {
+  const Vec3 kA{0.0, 0.1, -0.2}, kB{2.4, -0.6, 0.3};
+  const Vec3 kC{-1.1, 1.9, 0.4}, kD{0.6, 2.5, -2.0};
+  // One workspace for every class, never cleaned: the lexicographic
+  // class order moves L up and down, so stale X and S cells from larger
+  // and smaller classes are both left behind for the next call.
+  EriWorkspace ws;
+  HermiteR ref_R;
+  std::vector<double> got, want;
+  {
+    const ShellPairData pair(make_contracted(1, kA, 3),
+                             make_contracted(1, kB, 3));
+    ASSERT_EQ(pair.num_prims(), 9u);
+    EXPECT_EQ(pair.num_distinct(8), 0u);  // (350, 350) underflows
+    EXPECT_EQ(pair.num_distinct(2), 10u);  // (0.4, 350) does not
+    EXPECT_EQ(pair.num_distinct(0), 10u);  // every t+u+v <= 2
+  }
+  std::size_t checked = 0;
+  for (int contraction : {1, 3}) {
+    for (bool same_centre : {false, true}) {
+      for (int la = 0; la <= 3; ++la) {
+        for (int lb = 0; lb <= 3; ++lb) {
+          for (int lc = 0; lc <= 3; ++lc) {
+            for (int ld = 0; ld <= 3; ++ld) {
+              const int L = la + lb + lc + ld;
+              ShellPairData bra(make_contracted(la, kA, contraction),
+                                make_contracted(lb, same_centre ? kA : kB,
+                                                contraction));
+              ShellPairData ket(make_contracted(lc, kC, contraction),
+                                make_contracted(ld, kD, contraction));
+              bra.set_r_stride(L);
+              ket.set_r_stride(L);
+              const std::size_t n = bra.ncomp() * ket.ncomp();
+              got.assign(n, 1.0);
+              want.assign(n, 2.0);
+              compute_eri_block(bra, ket, ws, got);
+              one_step_eri_block(bra, ket, ref_R, want);
+              ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                    n * sizeof(double)),
+                        0)
+                  << "(" << la << lb << "|" << lc << ld << ") contraction "
+                  << contraction << (same_centre ? " A==B" : "");
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2u * 2u * 256u);
 }
 
 }  // namespace
