@@ -429,84 +429,6 @@ int main() {
     rows.push_back(row);
   }
 
-  // ---- Row 3a: bulk decode stage, scalar-word kernels vs SIMD ---------
-  //
-  // Isolates the vectorized stage of the two-stage decode: fixed-width
-  // PQ/SQ unpack plus the pattern x scale multiply-add reconstruction,
-  // at (dd|dd) geometry.  "Before" is the scalar decode-kernel table
-  // (word-windowed unpack, scalar reconstruct -- exactly the shipped
-  // pre-SIMD per-block loops); "after" is the active backend.
-  {
-    const BlockSpec spec{.num_sub_blocks = 36, .sub_block_size = 36};
-    // A small distinct-block set cycled many times: in the real decode
-    // pipeline the ECQ array was just written by the serial entropy
-    // stage, so the bulk stage always runs on cache-hot inputs -- the
-    // bench reproduces that rather than streaming from DRAM.
-    const std::size_t nb = 64;
-    const std::size_t iters = bench::quick_mode() ? 2'000 : 40'000;
-    const unsigned bits = 21;
-    const unsigned ecb_max = 5;
-    const std::size_t bs = spec.block_size();
-    std::mt19937_64 gen(17);
-    bitio::BitWriter w;
-    std::vector<std::int64_t> ecq(nb * bs);
-    const std::int64_t lim = (std::int64_t{1} << (bits - 1)) - 1;
-    for (std::size_t b = 0; b < nb; ++b) {
-      for (std::size_t i = 0; i < spec.sub_block_size; ++i) {
-        w.write_signed(static_cast<std::int64_t>(gen()) % lim, bits);
-      }
-      for (std::size_t j = 0; j < spec.num_sub_blocks; ++j) {
-        w.write_signed(static_cast<std::int64_t>(gen()) % lim, bits);
-      }
-    }
-    for (auto& e : ecq) {
-      const auto roll = gen() % 10;
-      e = roll < 7 ? 0 : static_cast<std::int64_t>(gen() % 15) - 7;
-    }
-    const auto bytes = w.take();
-    const std::size_t block_bits = (spec.sub_block_size +
-                                    spec.num_sub_blocks) * bits;
-    std::vector<std::int64_t> pq(spec.sub_block_size),
-        sq(spec.num_sub_blocks);
-    std::vector<double> p_hat(spec.sub_block_size), out(bs);
-    const double pbin = 2e-10, sbin = std::ldexp(1.0, 1 - (int)bits);
-
-    const auto run_with = [&](const simd::DecodeKernels& dk) {
-      for (std::size_t it = 0; it < iters; ++it) {
-        const std::size_t b = it % nb;
-        std::size_t pos = b * block_bits;
-        dk.unpack_signed(bytes.data(), bytes.size(), pos, bits, pq.data(),
-                         spec.sub_block_size);
-        pos += spec.sub_block_size * bits;
-        dk.unpack_signed(bytes.data(), bytes.size(), pos, bits, sq.data(),
-                         spec.num_sub_blocks);
-        dk.reconstruct(pq.data(), sq.data(), ecq.data() + b * bs,
-                       spec.num_sub_blocks, spec.sub_block_size, pbin,
-                       sbin, pbin, bits, ecb_max, p_hat.data(),
-                       out.data());
-      }
-    };
-    Row row{"decode bulk stage (unpack+reconstruct)"};
-    row.before_s = bench::best_time_seconds(
-        [&] { run_with(simd::kScalarDecode); }, reps);
-    const std::vector<double> scalar_out = out;
-    row.after_s = bench::best_time_seconds(
-        [&] { run_with(simd::decode_kernels()); }, reps);
-    if (std::memcmp(scalar_out.data(), out.data(),
-                    bs * sizeof(double)) != 0) {
-      std::fprintf(stderr, "FATAL: bulk decode stage diverged\n");
-      return 1;
-    }
-    const double raw_bytes =
-        static_cast<double>(iters * bs * sizeof(double));
-    row.gbps_before = raw_bytes / row.before_s / 1e9;
-    row.gbps_after = raw_bytes / row.after_s / 1e9;
-    row.symbols_per_s_before =
-        static_cast<double>(iters * bs) / row.before_s;
-    row.symbols_per_s_after = static_cast<double>(iters * bs) / row.after_s;
-    rows.push_back(row);
-  }
-
   // ---- Row 3: full (dd|dd) block decode, old path vs workspace --------
   {
     const auto ds = bench::load_bench_dataset(

@@ -346,12 +346,12 @@ int cmd_inspect(const char* in) {
                   : 0.0,
               max_len);
 
-  // Resolved SIMD tier (what the probe decode above actually ran on)
-  // plus per-tier availability, so a mis-dispatch -- e.g. AVX-512
-  // silently falling back to scalar on an OS without ZMM state saving
-  // -- is visible here and in the pastri_core_simd_decode_backend
-  // gauge of --metrics.
-  std::printf("simd: decode backend %s; tiers",
+  // Resolved encode SIMD tier plus per-tier availability, so a
+  // mis-dispatch -- e.g. AVX-512 silently falling back to scalar on an
+  // OS without ZMM state saving -- is visible here and in the
+  // pastri_core_simd_backend gauge of --metrics.  Decode always runs
+  // the scalar path.
+  std::printf("simd: encode backend %s, decode scalar; tiers",
               simd::backend_name(simd::active_backend()));
   for (simd::Backend b : simd::kAllBackends) {
     std::printf(" %s=%s", simd::backend_name(b),

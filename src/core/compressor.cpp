@@ -308,14 +308,13 @@ namespace {
 // Two-stage decode (see DESIGN.md §9): the serial entropy stage walks
 // the payload header and the variable-length ECQ symbols, while every
 // fixed-width array -- PQ, SQ, sparse-ECQ records -- is bounds-checked
-// once (`require_bits`) and then unpacked in bulk by the active
-// simd::DecodeKernels, which also run the sparse scatter and the final
-// reconstruction multiply-add.  All backends are bit-exact, and every
-// corrupt-stream exception of the serial decoder is preserved: truncation
-// throws std::out_of_range from the hoisted bounds check, domain
-// corruption ("corrupt P_b", "corrupt outlier index", ...) throws from
-// the same validations as before, just after the bulk read instead of
-// inside a per-value loop.
+// once (`require_bits`) and then unpacked in bulk by the simd:: bulk
+// decode functions, which also run the sparse scatter and the final
+// reconstruction multiply-add.  Every corrupt-stream exception of the
+// serial decoder is preserved: truncation throws std::out_of_range from
+// the hoisted bounds check, domain corruption ("corrupt P_b", "corrupt
+// outlier index", ...) throws from the same validations as before, just
+// after the bulk read instead of inside a per-value loop.
 void decompress_block_impl(const BlockSpec& spec, const Params& params,
                            bitio::BitReader& r, std::span<double> out,
                            CodecWorkspace& ws) {
@@ -326,16 +325,15 @@ void decompress_block_impl(const BlockSpec& spec, const Params& params,
     std::fill(out.begin(), out.end(), 0.0);
     return;
   }
-  const simd::DecodeKernels& dk = simd::decode_kernels();
-  // Bulk fixed-width run: one hoisted bounds check, then the kernel
-  // windows/gathers straight off the payload bytes.
-  const auto bulk_signed_run = [&r, &dk](unsigned nbits,
-                                         std::span<std::int64_t> dst) {
+  // Bulk fixed-width run: one hoisted bounds check, then a windowed
+  // unpack straight off the payload bytes.
+  const auto bulk_signed_run = [&r](unsigned nbits,
+                                    std::span<std::int64_t> dst) {
     const std::size_t run_bits =
         static_cast<std::size_t>(nbits) * dst.size();
     r.require_bits(run_bits);
-    dk.unpack_signed(r.data().data(), r.data().size(), r.bit_position(),
-                     nbits, dst.data(), dst.size());
+    simd::unpack_signed(r.data().data(), r.data().size(), r.bit_position(),
+                        nbits, dst.data(), dst.size());
     r.seek_unchecked(r.bit_position() + run_bits);
   };
   double eb = params.error_bound;
@@ -371,21 +369,21 @@ void decompress_block_impl(const BlockSpec& spec, const Params& params,
       }
       // Bulk (index, value) record unpack into workspace arrays, then
       // a validating zero-fill + scatter; an out-of-range index makes
-      // the scatter kernel bail before storing anything.
+      // the scatter bail before storing anything.
       const unsigned idx_bits = bitio::bits_for_count(spec.block_size());
       ws.sparse_idx.resize(nol);
       ws.sparse_val.resize(nol);
       const std::size_t rec_bits =
           static_cast<std::size_t>(idx_bits + qb.ecb_max) * nol;
       r.require_bits(rec_bits);
-      dk.unpack_pairs(r.data().data(), r.data().size(), r.bit_position(),
-                      idx_bits, qb.ecb_max, ws.sparse_idx.data(),
-                      ws.sparse_val.data(), nol);
+      simd::unpack_pairs(r.data().data(), r.data().size(),
+                         r.bit_position(), idx_bits, qb.ecb_max,
+                         ws.sparse_idx.data(), ws.sparse_val.data(), nol);
       r.seek_unchecked(r.bit_position() + rec_bits);
       qb.ecq.resize(spec.block_size());
-      if (!dk.scatter_ecq(qb.ecq.data(), spec.block_size(),
-                          ws.sparse_idx.data(), ws.sparse_val.data(),
-                          nol)) {
+      if (!simd::scatter_ecq(qb.ecq.data(), spec.block_size(),
+                             ws.sparse_idx.data(), ws.sparse_val.data(),
+                             nol)) {
         throw std::runtime_error("PaSTRI: corrupt outlier index");
       }
     } else {
@@ -405,13 +403,13 @@ void decompress_block_impl(const BlockSpec& spec, const Params& params,
     qb.ecq.assign(spec.block_size(), 0);
   }
   // Bulk reconstruct: pattern x scale multiply-add with the ECQ
-  // correction, through the active backend (bit-exact on every tier).
+  // correction.
   ws.p_hat.resize(spec.sub_block_size);
-  dk.reconstruct(qb.pq.data(), qb.sq.data(), qb.ecq.data(),
-                 spec.num_sub_blocks, spec.sub_block_size,
-                 qb.spec.pattern_binsize, qb.spec.scale_binsize,
-                 qb.spec.ec_binsize, qb.spec.pattern_bits, qb.ecb_max,
-                 ws.p_hat.data(), out.data());
+  simd::reconstruct(qb.pq.data(), qb.sq.data(), qb.ecq.data(),
+                    spec.num_sub_blocks, spec.sub_block_size,
+                    qb.spec.pattern_binsize, qb.spec.scale_binsize,
+                    qb.spec.ec_binsize, qb.ecb_max, ws.p_hat.data(),
+                    out.data());
 }
 
 }  // namespace

@@ -129,15 +129,14 @@ void dequantize_block(const QuantizedBlock& qb, const BlockSpec& spec,
   const std::size_t nsb = spec.num_sub_blocks;
   const std::size_t sbs = spec.sub_block_size;
   assert(qb.pq.size() == sbs && qb.sq.size() == nsb);
-  // One canonical reconstruction, shared with decompress_block: the
-  // active decode kernel (bit-exact on every backend).  Thread-local
-  // scratch keeps repeated calls allocation-free.
+  // One canonical reconstruction, shared with decompress_block.
+  // Thread-local scratch keeps repeated calls allocation-free.
   static thread_local std::vector<double> p_hat;
   p_hat.resize(sbs);
-  simd::decode_kernels().reconstruct(
-      qb.pq.data(), qb.sq.data(), qb.ecq.data(), nsb, sbs,
-      qb.spec.pattern_binsize, qb.spec.scale_binsize, qb.spec.ec_binsize,
-      qb.spec.pattern_bits, qb.ecb_max, p_hat.data(), out.data());
+  simd::reconstruct(qb.pq.data(), qb.sq.data(), qb.ecq.data(), nsb, sbs,
+                    qb.spec.pattern_binsize, qb.spec.scale_binsize,
+                    qb.spec.ec_binsize, qb.ecb_max, p_hat.data(),
+                    out.data());
 }
 
 }  // namespace pastri

@@ -22,14 +22,11 @@
 // symbol exists and dispatch simply reports AVX2 as unavailable.
 #include "core/simd/simd.h"
 
-#include "core/simd/kernels_common.h"
-
 #if defined(PASTRI_HAVE_AVX2) && (defined(__x86_64__) || defined(__i386__))
 
 #include <immintrin.h>
 
 #include <bit>
-#include <cstring>
 
 namespace pastri::simd {
 namespace {
@@ -266,193 +263,11 @@ void ecq_residual_avx2(const double* block, std::size_t nsb,
   *stats = st;
 }
 
-// ---- Decode kernels ----------------------------------------------------
-
-/// How many of the `n` fields starting at `bitpos` (stride `stride`
-/// bits) can be served by a full 8-byte load per lane: position p needs
-/// (p >> 3) + 8 <= nbytes, i.e. p <= 8*nbytes - 57.  The rest go
-/// through the scalar tail, same as BitReader near the stream end.
-inline std::size_t gather_safe_count(std::size_t nbytes, std::size_t bitpos,
-                                     unsigned stride, std::size_t n) {
-  const std::size_t total = 8 * nbytes;
-  if (total < bitpos + 57) return 0;
-  const std::size_t k = (total - 57 - bitpos) / stride + 1;
-  return k < n ? k : n;
-}
-
-void unpack_signed_avx2(const std::uint8_t* base, std::size_t nbytes,
-                        std::size_t bitpos, unsigned nbits,
-                        std::int64_t* out, std::size_t n) {
-  const std::size_t fast = gather_safe_count(nbytes, bitpos, nbits, n);
-  const __m256i vmask =
-      _mm256_set1_epi64x(static_cast<long long>(detail::mask_u64(nbits)));
-  const __m256i vsign = _mm256_set1_epi64x(
-      static_cast<long long>(std::uint64_t{1} << (nbits - 1)));
-  const __m256i vseven = _mm256_set1_epi64x(7);
-  __m256i vpos = _mm256_add_epi64(
-      _mm256_set1_epi64x(static_cast<long long>(bitpos)),
-      _mm256_set_epi64x(3ll * nbits, 2ll * nbits, 1ll * nbits, 0));
-  const __m256i vstep = _mm256_set1_epi64x(4ll * nbits);
-  std::size_t i = 0;
-  for (; i + 4 <= fast; i += 4) {
-    // One unaligned 64-bit load per lane (gather), then shift out the
-    // sub-byte offset -- the vector form of BitReader's word fast path.
-    const __m256i vbyte = _mm256_srli_epi64(vpos, 3);
-    const __m256i words = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(base), vbyte, 1);
-    const __m256i vbit = _mm256_and_si256(vpos, vseven);
-    __m256i v = _mm256_and_si256(_mm256_srlv_epi64(words, vbit), vmask);
-    // Two's-complement sign extension: (v ^ signbit) - signbit.
-    v = _mm256_sub_epi64(_mm256_xor_si256(v, vsign), vsign);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
-    vpos = _mm256_add_epi64(vpos, vstep);
-  }
-  if (i < n) {
-    detail::unpack_signed_scalar(base, nbytes, bitpos + i * nbits, nbits,
-                                 out + i, n - i);
-  }
-}
-
-void unpack_pairs_avx2(const std::uint8_t* base, std::size_t nbytes,
-                       std::size_t bitpos, unsigned idx_bits,
-                       unsigned val_bits, std::uint64_t* idx,
-                       std::int64_t* val, std::size_t n) {
-  const unsigned rec = idx_bits + val_bits;
-  if (rec > 57) {
-    // A record no longer fits one shifted word load (possible only for
-    // ecb_max near 64); take the scalar two-load path throughout.
-    detail::unpack_pairs_scalar(base, nbytes, bitpos, idx_bits, val_bits,
-                                idx, val, n);
-    return;
-  }
-  const std::size_t fast = gather_safe_count(nbytes, bitpos, rec, n);
-  const __m256i vimask =
-      _mm256_set1_epi64x(static_cast<long long>(detail::mask_u64(idx_bits)));
-  const __m256i vvmask =
-      _mm256_set1_epi64x(static_cast<long long>(detail::mask_u64(val_bits)));
-  const __m256i vvsign = _mm256_set1_epi64x(
-      static_cast<long long>(std::uint64_t{1} << (val_bits - 1)));
-  const __m256i vseven = _mm256_set1_epi64x(7);
-  const __m256i vidxsh = _mm256_set1_epi64x(idx_bits);
-  __m256i vpos = _mm256_add_epi64(
-      _mm256_set1_epi64x(static_cast<long long>(bitpos)),
-      _mm256_set_epi64x(3ll * rec, 2ll * rec, 1ll * rec, 0));
-  const __m256i vstep = _mm256_set1_epi64x(4ll * rec);
-  std::size_t k = 0;
-  for (; k + 4 <= fast; k += 4) {
-    const __m256i vbyte = _mm256_srli_epi64(vpos, 3);
-    const __m256i words = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(base), vbyte, 1);
-    const __m256i vbit = _mm256_and_si256(vpos, vseven);
-    const __m256i recbits = _mm256_srlv_epi64(words, vbit);
-    const __m256i vi = _mm256_and_si256(recbits, vimask);
-    __m256i vv =
-        _mm256_and_si256(_mm256_srlv_epi64(recbits, vidxsh), vvmask);
-    vv = _mm256_sub_epi64(_mm256_xor_si256(vv, vvsign), vvsign);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(idx + k), vi);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(val + k), vv);
-    vpos = _mm256_add_epi64(vpos, vstep);
-  }
-  if (k < n) {
-    detail::unpack_pairs_scalar(base, nbytes, bitpos + k * rec, idx_bits,
-                                val_bits, idx + k, val + k, n - k);
-  }
-}
-
-bool scatter_ecq_avx2(std::int64_t* ecq, std::size_t n,
-                      const std::uint64_t* idx, const std::int64_t* val,
-                      std::size_t nol) {
-  // Validate all indices up front (vector compare; indices come from
-  // <= 57-bit fields, so a signed compare against n is exact), then
-  // zero-fill and scatter.  AVX2 has no scatter instruction, so the
-  // stores stay scalar -- the win is the validation and the fill.
-  const __m256i vlimit = _mm256_set1_epi64x(static_cast<long long>(n) - 1);
-  __m256i bad = _mm256_setzero_si256();
-  std::size_t k = 0;
-  for (; k + 4 <= nol; k += 4) {
-    const __m256i vi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + k));
-    bad = _mm256_or_si256(bad, _mm256_cmpgt_epi64(vi, vlimit));
-  }
-  if (!_mm256_testz_si256(bad, bad)) return false;
-  for (; k < nol; ++k) {
-    if (idx[k] >= n) return false;
-  }
-  std::memset(ecq, 0, n * sizeof(std::int64_t));
-  for (std::size_t t = 0; t < nol; ++t) {
-    ecq[idx[t]] = val[t];
-  }
-  return true;
-}
-
-void reconstruct_avx2(const std::int64_t* pq, const std::int64_t* sq,
-                      const std::int64_t* ecq, std::size_t nsb,
-                      std::size_t sbs, double pattern_binsize,
-                      double scale_binsize, double ec_binsize,
-                      unsigned bits, unsigned ecb_max, double* p_hat,
-                      double* out) {
-  if (bits > 52 || ecb_max > 52) {
-    // The reverse magic bias is exact only for 52-bit two's-complement
-    // inputs; wider codes reconstruct through the scalar kernel, which
-    // is identical by definition.
-    detail::reconstruct_scalar(pq, sq, ecq, nsb, sbs, pattern_binsize,
-                               scale_binsize, ec_binsize, bits, ecb_max,
-                               p_hat, out);
-    return;
-  }
-  const __m256d magic = _mm256_set1_pd(kMagic);
-  const __m256i magici = _mm256_castpd_si256(magic);
-  const __m256d pbin = _mm256_set1_pd(pattern_binsize);
-  const __m256d ebin = _mm256_set1_pd(ec_binsize);
-  std::size_t i = 0;
-  for (; i + 4 <= sbs; i += 4) {
-    const __m256i iv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pq + i));
-    const __m256d pv = _mm256_sub_pd(
-        _mm256_castsi256_pd(_mm256_add_epi64(iv, magici)), magic);
-    _mm256_storeu_pd(p_hat + i, _mm256_mul_pd(pv, pbin));
-  }
-  for (; i < sbs; ++i) {
-    p_hat[i] = static_cast<double>(pq[i]) * pattern_binsize;
-  }
-  for (std::size_t j = 0; j < nsb; ++j) {
-    // One scale per row: scalar convert (exact for any width), then
-    // broadcast.
-    const double s_hat = static_cast<double>(sq[j]) * scale_binsize;
-    const __m256d sv = _mm256_set1_pd(s_hat);
-    const std::int64_t* erow = ecq + j * sbs;
-    double* orow = out + j * sbs;
-    std::size_t t = 0;
-    for (; t + 4 <= sbs; t += 4) {
-      const __m256i ev =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(erow + t));
-      const __m256d ed = _mm256_sub_pd(
-          _mm256_castsi256_pd(_mm256_add_epi64(ev, magici)), magic);
-      // mul, mul, add: three separate roundings, never an FMA (this TU
-      // is -ffp-contract=off), matching the scalar loop exactly --
-      // including the ecq == 0 term, because -0.0 + 0.0 = +0.0.
-      const __m256d r =
-          _mm256_add_pd(_mm256_mul_pd(sv, _mm256_loadu_pd(p_hat + t)),
-                        _mm256_mul_pd(ed, ebin));
-      _mm256_storeu_pd(orow + t, r);
-    }
-    for (; t < sbs; ++t) {
-      orow[t] = s_hat * p_hat[t] +
-                static_cast<double>(erow[t]) * ec_binsize;
-    }
-  }
-}
-
 }  // namespace
 
 const EncodeKernels kAvx2Kernels = {
     abs_max_avx2,      find_first_abs_eq_avx2, any_abs_above_avx2,
     quantize_signed_avx2, ecq_residual_avx2,
-};
-
-const DecodeKernels kAvx2Decode = {
-    unpack_signed_avx2, unpack_pairs_avx2, scatter_ecq_avx2,
-    reconstruct_avx2,
 };
 
 bool avx2_compiled_in() { return true; }
@@ -463,11 +278,10 @@ bool avx2_compiled_in() { return true; }
 
 namespace pastri::simd {
 
-// No AVX2 at compile time: alias the scalar tables so the symbols
-// link; dispatch reports the backend as unsupported and never selects
+// No AVX2 at compile time: alias the scalar table so the symbol
+// links; dispatch reports the backend as unsupported and never selects
 // it on merit, but a forced selection still behaves correctly.
 const EncodeKernels kAvx2Kernels = kScalarKernels;
-const DecodeKernels kAvx2Decode = kScalarDecode;
 
 bool avx2_compiled_in() { return false; }
 

@@ -1,4 +1,4 @@
-// kernels_avx512.cpp - AVX-512 backend of the codec kernel tables.
+// kernels_avx512.cpp - AVX-512 backend of the encode kernel table.
 //
 // Compiled with -mavx512f -mavx512dq -ffp-contract=off in this TU only
 // (see core/CMakeLists.txt); dispatch never selects it unless CPUID
@@ -11,8 +11,8 @@
 //
 //   * vcvtqq2pd is the IEEE int64 -> double conversion for the full
 //     64-bit range (round-to-nearest beyond 2^53), exactly
-//     static_cast<double>, so reconstruction needs no width gate at
-//     all;
+//     static_cast<double>, so quantize_signed's reconstructed values
+//     need no width gate at all;
 //   * vcvttpd2qq truncates exactly for any integral |v| < 2^63, so the
 //     double -> int64 fast path extends to the scalar saturation
 //     threshold (9.2e18) instead of 2^51 -- only saturating or
@@ -21,17 +21,14 @@
 //
 // PASTRI_HAVE_AVX512 is defined (by the build) only when the compiler
 // accepted the flags; otherwise this TU degrades to a scalar alias so
-// the symbols exist and dispatch simply reports the tier unavailable.
+// the symbol exists and dispatch simply reports the tier unavailable.
 #include "core/simd/simd.h"
-
-#include "core/simd/kernels_common.h"
 
 #if defined(PASTRI_HAVE_AVX512) && defined(__x86_64__)
 
 #include <immintrin.h>
 
 #include <bit>
-#include <cstring>
 
 namespace pastri::simd {
 namespace {
@@ -223,178 +220,11 @@ void ecq_residual_avx512(const double* block, std::size_t nsb,
   *stats = st;
 }
 
-// ---- Decode kernels ----------------------------------------------------
-
-/// See the AVX2 twin: fields whose word load stays inside the payload
-/// (position <= 8*nbytes - 57) can be gathered; the rest take the
-/// scalar tail.
-inline std::size_t gather_safe_count(std::size_t nbytes, std::size_t bitpos,
-                                     unsigned stride, std::size_t n) {
-  const std::size_t total = 8 * nbytes;
-  if (total < bitpos + 57) return 0;
-  const std::size_t k = (total - 57 - bitpos) / stride + 1;
-  return k < n ? k : n;
-}
-
-inline __m512i lane_offsets(std::size_t bitpos, unsigned stride) {
-  const __m512i mult = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-  return _mm512_add_epi64(
-      _mm512_set1_epi64(static_cast<long long>(bitpos)),
-      _mm512_mullo_epi64(mult, _mm512_set1_epi64(stride)));
-}
-
-void unpack_signed_avx512(const std::uint8_t* base, std::size_t nbytes,
-                          std::size_t bitpos, unsigned nbits,
-                          std::int64_t* out, std::size_t n) {
-  const std::size_t fast = gather_safe_count(nbytes, bitpos, nbits, n);
-  const __m512i vmask =
-      _mm512_set1_epi64(static_cast<long long>(detail::mask_u64(nbits)));
-  const __m512i vsign = _mm512_set1_epi64(
-      static_cast<long long>(std::uint64_t{1} << (nbits - 1)));
-  const __m512i vseven = _mm512_set1_epi64(7);
-  __m512i vpos = lane_offsets(bitpos, nbits);
-  const __m512i vstep = _mm512_set1_epi64(8ll * nbits);
-  std::size_t i = 0;
-  for (; i + 8 <= fast; i += 8) {
-    const __m512i vbyte = _mm512_srli_epi64(vpos, 3);
-    const __m512i words = _mm512_i64gather_epi64(vbyte, base, 1);
-    const __m512i vbit = _mm512_and_si512(vpos, vseven);
-    __m512i v = _mm512_and_si512(_mm512_srlv_epi64(words, vbit), vmask);
-    v = _mm512_sub_epi64(_mm512_xor_si512(v, vsign), vsign);
-    _mm512_storeu_si512(out + i, v);
-    vpos = _mm512_add_epi64(vpos, vstep);
-  }
-  if (i < n) {
-    detail::unpack_signed_scalar(base, nbytes, bitpos + i * nbits, nbits,
-                                 out + i, n - i);
-  }
-}
-
-void unpack_pairs_avx512(const std::uint8_t* base, std::size_t nbytes,
-                         std::size_t bitpos, unsigned idx_bits,
-                         unsigned val_bits, std::uint64_t* idx,
-                         std::int64_t* val, std::size_t n) {
-  const unsigned rec = idx_bits + val_bits;
-  if (rec > 57) {
-    detail::unpack_pairs_scalar(base, nbytes, bitpos, idx_bits, val_bits,
-                                idx, val, n);
-    return;
-  }
-  const std::size_t fast = gather_safe_count(nbytes, bitpos, rec, n);
-  const __m512i vimask =
-      _mm512_set1_epi64(static_cast<long long>(detail::mask_u64(idx_bits)));
-  const __m512i vvmask =
-      _mm512_set1_epi64(static_cast<long long>(detail::mask_u64(val_bits)));
-  const __m512i vvsign = _mm512_set1_epi64(
-      static_cast<long long>(std::uint64_t{1} << (val_bits - 1)));
-  const __m512i vseven = _mm512_set1_epi64(7);
-  const __m512i vidxsh = _mm512_set1_epi64(idx_bits);
-  __m512i vpos = lane_offsets(bitpos, rec);
-  const __m512i vstep = _mm512_set1_epi64(8ll * rec);
-  std::size_t k = 0;
-  for (; k + 8 <= fast; k += 8) {
-    const __m512i vbyte = _mm512_srli_epi64(vpos, 3);
-    const __m512i words = _mm512_i64gather_epi64(vbyte, base, 1);
-    const __m512i vbit = _mm512_and_si512(vpos, vseven);
-    const __m512i recbits = _mm512_srlv_epi64(words, vbit);
-    const __m512i vi = _mm512_and_si512(recbits, vimask);
-    __m512i vv =
-        _mm512_and_si512(_mm512_srlv_epi64(recbits, vidxsh), vvmask);
-    vv = _mm512_sub_epi64(_mm512_xor_si512(vv, vvsign), vvsign);
-    _mm512_storeu_si512(idx + k, vi);
-    _mm512_storeu_si512(val + k, vv);
-    vpos = _mm512_add_epi64(vpos, vstep);
-  }
-  if (k < n) {
-    detail::unpack_pairs_scalar(base, nbytes, bitpos + k * rec, idx_bits,
-                                val_bits, idx + k, val + k, n - k);
-  }
-}
-
-bool scatter_ecq_avx512(std::int64_t* ecq, std::size_t n,
-                        const std::uint64_t* idx, const std::int64_t* val,
-                        std::size_t nol) {
-  // Validate everything up front, then zero-fill and scatter with the
-  // real scatter instruction.  Lane order within a vector matches
-  // record order (higher lanes store later), so duplicate indices
-  // resolve like the scalar loop: the last record wins.
-  const __m512i vn = _mm512_set1_epi64(static_cast<long long>(n));
-  std::size_t k = 0;
-  for (; k + 8 <= nol; k += 8) {
-    const __m512i vi = _mm512_loadu_si512(idx + k);
-    if (_mm512_cmpge_epu64_mask(vi, vn) != 0) return false;
-  }
-  for (; k < nol; ++k) {
-    if (idx[k] >= n) return false;
-  }
-  std::memset(ecq, 0, n * sizeof(std::int64_t));
-  std::size_t t = 0;
-  for (; t + 8 <= nol; t += 8) {
-    const __m512i vi = _mm512_loadu_si512(idx + t);
-    const __m512i vv = _mm512_loadu_si512(val + t);
-    _mm512_i64scatter_epi64(ecq, vi, vv, 8);
-  }
-  for (; t < nol; ++t) {
-    ecq[idx[t]] = val[t];
-  }
-  return true;
-}
-
-void reconstruct_avx512(const std::int64_t* pq, const std::int64_t* sq,
-                        const std::int64_t* ecq, std::size_t nsb,
-                        std::size_t sbs, double pattern_binsize,
-                        double scale_binsize, double ec_binsize,
-                        unsigned bits, unsigned ecb_max, double* p_hat,
-                        double* out) {
-  // vcvtqq2pd is static_cast<double> for the whole int64 range, so no
-  // width gate: every P_b/EC_b decodes on the vector path.
-  (void)bits;
-  (void)ecb_max;
-  const __m512d pbin = _mm512_set1_pd(pattern_binsize);
-  const __m512d ebin = _mm512_set1_pd(ec_binsize);
-  std::size_t i = 0;
-  for (; i + 8 <= sbs; i += 8) {
-    const __m512i iv = _mm512_loadu_si512(pq + i);
-    _mm512_storeu_pd(p_hat + i,
-                     _mm512_mul_pd(_mm512_cvtepi64_pd(iv), pbin));
-  }
-  for (; i < sbs; ++i) {
-    p_hat[i] = static_cast<double>(pq[i]) * pattern_binsize;
-  }
-  for (std::size_t j = 0; j < nsb; ++j) {
-    const double s_hat = static_cast<double>(sq[j]) * scale_binsize;
-    const __m512d sv = _mm512_set1_pd(s_hat);
-    const std::int64_t* erow = ecq + j * sbs;
-    double* orow = out + j * sbs;
-    std::size_t t = 0;
-    for (; t + 8 <= sbs; t += 8) {
-      const __m512i ev = _mm512_loadu_si512(erow + t);
-      const __m512d ed = _mm512_cvtepi64_pd(ev);
-      // mul, mul, add: three separate roundings, never an FMA (this TU
-      // is -ffp-contract=off), matching the scalar loop exactly --
-      // including the ecq == 0 term, because -0.0 + 0.0 = +0.0.
-      const __m512d r =
-          _mm512_add_pd(_mm512_mul_pd(sv, _mm512_loadu_pd(p_hat + t)),
-                        _mm512_mul_pd(ed, ebin));
-      _mm512_storeu_pd(orow + t, r);
-    }
-    for (; t < sbs; ++t) {
-      orow[t] = s_hat * p_hat[t] +
-                static_cast<double>(erow[t]) * ec_binsize;
-    }
-  }
-}
-
 }  // namespace
 
 const EncodeKernels kAvx512Kernels = {
     abs_max_avx512,      find_first_abs_eq_avx512, any_abs_above_avx512,
     quantize_signed_avx512, ecq_residual_avx512,
-};
-
-const DecodeKernels kAvx512Decode = {
-    unpack_signed_avx512, unpack_pairs_avx512, scatter_ecq_avx512,
-    reconstruct_avx512,
 };
 
 bool avx512_compiled_in() { return true; }
@@ -405,11 +235,10 @@ bool avx512_compiled_in() { return true; }
 
 namespace pastri::simd {
 
-// No AVX-512 at compile time: alias the scalar tables so the symbols
-// link; dispatch reports the backend as unsupported and never selects
+// No AVX-512 at compile time: alias the scalar table so the symbol
+// links; dispatch reports the backend as unsupported and never selects
 // it on merit, but a forced selection still behaves correctly.
 const EncodeKernels kAvx512Kernels = kScalarKernels;
-const DecodeKernels kAvx512Decode = kScalarDecode;
 
 bool avx512_compiled_in() { return false; }
 

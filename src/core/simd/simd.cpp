@@ -1,19 +1,17 @@
-// simd.cpp - Runtime backend dispatch for the codec kernel tables.
+// simd.cpp - Runtime backend dispatch for the encode kernel table.
 //
-// Selection runs once, at the first encode_kernels()/decode_kernels()
-// call: the widest backend both the build and the CPU support wins
-// (avx512 > avx2 > scalar on x86-64, neon on aarch64), unless
-// PASTRI_SIMD names one explicitly (unsupported or unknown names fall
-// back to scalar -- a forced-off path must never crash on an old CPU).
-// Encode and decode tables always switch together, so a stream is
-// encoded and decoded by the same tier unless the user re-forces in
-// between -- which is safe, because every tier is bit-identical.
+// Selection runs once, at the first encode_kernels() call: the widest
+// backend both the build and the CPU support wins (avx512 > avx2 >
+// scalar on x86-64; scalar everywhere else), unless PASTRI_SIMD names
+// one explicitly (unsupported or unknown names fall back to scalar -- a
+// forced-off path must never crash on an old CPU).  Decode has no
+// table: it runs the one scalar path on every host.
 //
 // AVX-512 needs more than a CPUID feature bit: the OS must have enabled
 // ZMM state saving (XCR0 bits 1|2|5|6|7 via XGETBV), otherwise the
 // first EVEX instruction faults.  cpu_has_avx512() checks both.  The
-// choice is published through atomic pointers so steady-state access is
-// one relaxed load; force_backend()/refresh_backend_from_env() are
+// choice is published through an atomic pointer so steady-state access
+// is one relaxed load; force_backend()/refresh_backend_from_env() are
 // testing hooks that republish it.
 #include "core/simd/simd.h"
 
@@ -32,7 +30,6 @@ namespace pastri::simd {
 namespace {
 
 std::atomic<const EncodeKernels*> g_active{nullptr};
-std::atomic<const DecodeKernels*> g_active_decode{nullptr};
 std::atomic<Backend> g_backend{Backend::Scalar};
 
 bool cpu_has_avx2() {
@@ -77,38 +74,18 @@ bool cpu_has_avx512() {
 #endif
 }
 
-bool cpu_has_neon() {
-#if defined(__aarch64__)
-  return true;  // Advanced SIMD is baseline on AArch64.
-#else
-  return false;
-#endif
-}
-
 const EncodeKernels& encode_table_for(Backend b) {
   switch (b) {
     case Backend::Scalar: return kScalarKernels;
     case Backend::Avx2: return kAvx2Kernels;
     case Backend::Avx512: return kAvx512Kernels;
-    case Backend::Neon: return kNeonKernels;
   }
   return kScalarKernels;
-}
-
-const DecodeKernels& decode_table_for(Backend b) {
-  switch (b) {
-    case Backend::Scalar: return kScalarDecode;
-    case Backend::Avx2: return kAvx2Decode;
-    case Backend::Avx512: return kAvx512Decode;
-    case Backend::Neon: return kNeonDecode;
-  }
-  return kScalarDecode;
 }
 
 Backend best_backend() {
   if (backend_supported(Backend::Avx512)) return Backend::Avx512;
   if (backend_supported(Backend::Avx2)) return Backend::Avx2;
-  if (backend_supported(Backend::Neon)) return Backend::Neon;
   return Backend::Scalar;
 }
 
@@ -130,15 +107,13 @@ Backend select_backend() {
 void publish(Backend b) {
   g_backend.store(b, std::memory_order_relaxed);
   g_active.store(&encode_table_for(b), std::memory_order_release);
-  g_active_decode.store(&decode_table_for(b), std::memory_order_release);
-  // Observability: which backend the codec dispatches to (0 = scalar,
-  // 1 = avx2, 2 = avx512, 3 = neon).  Encode and decode switch
-  // together, but both gauges exist so a mis-dispatch (e.g. a triage
-  // force to scalar that only one consumer noticed) is visible per
-  // path; settable-once gauges are fine to re-set.
-  const double tier = static_cast<double>(b);
-  obs::registry().gauge(obs::kCoreSimdBackend).set(tier);
-  obs::registry().gauge(obs::kCoreSimdDecodeBackend).set(tier);
+  // Observability: which backend encode dispatches to (0 = scalar,
+  // 1 = avx2, 2 = avx512).  Decode always runs the scalar path; its
+  // gauge stays so run fingerprints keep reporting both paths.
+  obs::registry().gauge(obs::kCoreSimdBackend).set(static_cast<double>(b));
+  obs::registry()
+      .gauge(obs::kCoreSimdDecodeBackend)
+      .set(static_cast<double>(Backend::Scalar));
 }
 
 }  // namespace
@@ -148,7 +123,6 @@ const char* backend_name(Backend b) {
     case Backend::Scalar: return "scalar";
     case Backend::Avx2: return "avx2";
     case Backend::Avx512: return "avx512";
-    case Backend::Neon: return "neon";
   }
   return "?";
 }
@@ -158,7 +132,6 @@ bool backend_supported(Backend b) {
     case Backend::Scalar: return true;
     case Backend::Avx2: return avx2_compiled_in() && cpu_has_avx2();
     case Backend::Avx512: return avx512_compiled_in() && cpu_has_avx512();
-    case Backend::Neon: return neon_compiled_in() && cpu_has_neon();
   }
   return false;
 }
@@ -167,18 +140,9 @@ const EncodeKernels& encode_kernels() {
   const EncodeKernels* k = g_active.load(std::memory_order_acquire);
   if (k == nullptr) [[unlikely]] {
     // Selection is idempotent; a racing first call publishes the same
-    // tables twice.
+    // table twice.
     publish(select_backend());
     k = g_active.load(std::memory_order_acquire);
-  }
-  return *k;
-}
-
-const DecodeKernels& decode_kernels() {
-  const DecodeKernels* k = g_active_decode.load(std::memory_order_acquire);
-  if (k == nullptr) [[unlikely]] {
-    publish(select_backend());
-    k = g_active_decode.load(std::memory_order_acquire);
   }
   return *k;
 }

@@ -235,15 +235,27 @@ void EriBlockGenerator::compute_range(std::size_t first, std::size_t count,
   }
 }
 
-double measure_generation_rate(const Molecule& mol, const DatasetOptions& opt,
-                               std::size_t blocks) {
+GenerationRate measure_generation_rate(const Molecule& mol,
+                                       const DatasetOptions& opt,
+                                       std::size_t blocks) {
+  using Clock = std::chrono::steady_clock;
+  const auto seconds = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+  };
   DatasetOptions o = opt;
   o.max_blocks = blocks;
-  const auto t0 = std::chrono::steady_clock::now();
-  const EriDataset ds = generate_eri_dataset(mol, o);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double secs = std::chrono::duration<double>(t1 - t0).count();
-  return (static_cast<double>(ds.size_bytes()) / 1e6) / std::max(secs, 1e-9);
+  GenerationRate rate;
+  const auto t0 = Clock::now();
+  const EriBlockGenerator gen(mol, o);
+  rate.plan_s = seconds(t0, Clock::now());
+  const std::size_t n = gen.meta().num_blocks;
+  std::vector<double> out(n * gen.meta().shape.block_size());
+  const auto t1 = Clock::now();
+  gen.compute_range(0, n, out);
+  const double secs = seconds(t1, Clock::now());
+  rate.mb_per_s = (static_cast<double>(out.size() * sizeof(double)) / 1e6) /
+                  std::max(secs, 1e-9);
+  return rate;
 }
 
 }  // namespace pastri::qc

@@ -199,8 +199,7 @@ TEST(AllocFree, DecompressBlockSteadyStateAllocatesNothing) {
 /// vector tier); the alloc contract must hold on all of them.
 std::vector<simd::Backend> runnable_backends() {
   std::vector<simd::Backend> v{simd::Backend::Scalar};
-  for (simd::Backend b : {simd::Backend::Avx2, simd::Backend::Avx512,
-                          simd::Backend::Neon}) {
+  for (simd::Backend b : {simd::Backend::Avx2, simd::Backend::Avx512}) {
     if (simd::backend_supported(b)) v.push_back(b);
   }
   return v;
