@@ -408,8 +408,7 @@ void decompress_block_impl(const BlockSpec& spec, const Params& params,
   simd::reconstruct(qb.pq.data(), qb.sq.data(), qb.ecq.data(),
                     spec.num_sub_blocks, spec.sub_block_size,
                     qb.spec.pattern_binsize, qb.spec.scale_binsize,
-                    qb.spec.ec_binsize, qb.ecb_max, ws.p_hat.data(),
-                    out.data());
+                    qb.spec.ec_binsize, ws.p_hat.data(), out.data());
 }
 
 }  // namespace

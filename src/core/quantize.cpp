@@ -135,8 +135,7 @@ void dequantize_block(const QuantizedBlock& qb, const BlockSpec& spec,
   p_hat.resize(sbs);
   simd::reconstruct(qb.pq.data(), qb.sq.data(), qb.ecq.data(), nsb, sbs,
                     qb.spec.pattern_binsize, qb.spec.scale_binsize,
-                    qb.spec.ec_binsize, qb.ecb_max, p_hat.data(),
-                    out.data());
+                    qb.spec.ec_binsize, p_hat.data(), out.data());
 }
 
 }  // namespace pastri

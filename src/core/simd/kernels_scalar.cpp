@@ -5,7 +5,6 @@
 // them (SimdDiff suite), and they are what PASTRI_SIMD=scalar selects
 // on any CPU.  The bulk decode functions below are the one decode path
 // on every host.
-#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -220,35 +219,18 @@ bool scatter_ecq(std::int64_t* ecq, std::size_t n, const std::uint64_t* idx,
 void reconstruct(const std::int64_t* pq, const std::int64_t* sq,
                  const std::int64_t* ecq, std::size_t nsb, std::size_t sbs,
                  double pattern_binsize, double scale_binsize,
-                 double ec_binsize, unsigned ecb_max, double* p_hat,
-                 double* out) {
+                 double ec_binsize, double* p_hat, double* out) {
   for (std::size_t i = 0; i < sbs; ++i) {
     p_hat[i] = static_cast<double>(pq[i]) * pattern_binsize;
   }
-  // ECQ codes of at most 52 bits lie in [-2^51, 2^51), where adding the
-  // bits of 1.5 * 2^52 and subtracting it as a double is exactly
-  // static_cast<double>.  Unlike the int64 -> double instruction, which
-  // x86 lacks in packed form before AVX-512, that integer add and float
-  // subtract vectorize on every SIMD ISA.
-  constexpr double kMagic = 6755399441055744.0;  // 1.5 * 2^52
-  constexpr std::int64_t kMagicBits = std::bit_cast<std::int64_t>(kMagic);
-  const bool magic = ecb_max <= 52;
   for (std::size_t j = 0; j < nsb; ++j) {
     const double s_hat = static_cast<double>(sq[j]) * scale_binsize;
     const std::int64_t* erow = ecq + j * sbs;
     double* orow = out + j * sbs;
     // mul, mul, add -- three separate roundings, no FMA (this TU is
     // built with -ffp-contract=off; see core/CMakeLists.txt).
-    if (magic) {
-      for (std::size_t i = 0; i < sbs; ++i) {
-        const double e = std::bit_cast<double>(erow[i] + kMagicBits) - kMagic;
-        orow[i] = s_hat * p_hat[i] + e * ec_binsize;
-      }
-    } else {
-      for (std::size_t i = 0; i < sbs; ++i) {
-        orow[i] = s_hat * p_hat[i] +
-                  static_cast<double>(erow[i]) * ec_binsize;
-      }
+    for (std::size_t i = 0; i < sbs; ++i) {
+      orow[i] = s_hat * p_hat[i] + static_cast<double>(erow[i]) * ec_binsize;
     }
   }
 }

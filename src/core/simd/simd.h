@@ -127,13 +127,11 @@ bool scatter_ecq(std::int64_t* ecq, std::size_t n, const std::uint64_t* idx,
 ///   out[j*sbs + i] = (double(sq[j]) * scale_binsize) * p_hat[i]
 ///                    + double(ecq[j*sbs+i]) * ec_binsize
 /// Every multiply and the final add are separate IEEE roundings (no
-/// FMA).  Every ECQ code must fit `ecb_max` two's-complement bits (the
-/// block's EC_b,max).  `p_hat` is caller scratch of size sbs.
+/// FMA).  `p_hat` is caller scratch of size sbs.
 void reconstruct(const std::int64_t* pq, const std::int64_t* sq,
                  const std::int64_t* ecq, std::size_t nsb, std::size_t sbs,
                  double pattern_binsize, double scale_binsize,
-                 double ec_binsize, unsigned ecb_max, double* p_hat,
-                 double* out);
+                 double ec_binsize, double* p_hat, double* out);
 
 // ---- Encode dispatch ---------------------------------------------------
 

@@ -540,7 +540,7 @@ TEST(SimdDiff, ReconstructBitExactAcrossBackends) {
             }
             std::vector<double> scratch(sbs), got(nsb * sbs, 7.0);
             simd::reconstruct(pq.data(), sq.data(), ecq.data(), nsb, sbs,
-                              pattern_bin, scale_bin, pattern_bin, ecb_max,
+                              pattern_bin, scale_bin, pattern_bin,
                               scratch.data(), got.data());
             ASSERT_EQ(std::memcmp(want.data(), got.data(),
                                   want.size() * sizeof(double)),
@@ -563,7 +563,7 @@ TEST(SimdDiff, ReconstructNegativeZeroIdentical) {
       ecq(nsb * sbs, 0);
   std::vector<double> scratch(sbs), got(nsb * sbs);
   simd::reconstruct(pq.data(), sq.data(), ecq.data(), nsb, sbs, 2e-10, 0.5,
-                    2e-10, 1, scratch.data(), got.data());
+                    2e-10, scratch.data(), got.data());
   for (double v : got) {
     EXPECT_FALSE(std::signbit(v)) << "reconstruct must produce +0.0";
   }
